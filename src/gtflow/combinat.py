@@ -97,8 +97,16 @@ def binomial(m: int, k: int) -> int:
     for i in range(k):
         num *= m - i
     q, r = divmod(num, math.factorial(k))
-    assert r == 0
+    if r:
+        raise ValueError(f"product of {k} consecutive integers is not divisible by {k}!")
     return q
+
+
+def finite_difference(values) -> int:
+    """sum_i (-1)^(k-i) binom(k, i) values[i] over values at t = 0..k: k! times
+    the t^k coefficient of the polynomial of degree at most k through them."""
+    k = len(values) - 1
+    return sum((-1) ** (k - i) * math.comb(k, i) * c for i, c in enumerate(values))
 
 
 def multiset_binomial(n: int, k: int) -> int:

@@ -106,7 +106,8 @@ def weyl_dimension(lam) -> int:
             num *= lam[i - 1] - lam[j - 1] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ValueError(f"Weyl dimension product {num}/{den} is not an integer")
     return q
 
 
@@ -315,7 +316,8 @@ def gt_to_flow(lam, pattern: GTPattern) -> tuple[int, ...]:
         else:
             i = lab[1]
             values[k] = x(i - 1, n) - lam[n - 1]
-    assert gtn.network.check_flow(values)
+    if not gtn.network.check_flow(values):
+        raise ValueError("pattern does not map to a feasible flow on G_lambda")
     return tuple(values)
 
 

@@ -167,22 +167,26 @@ class Poset:
 
     def with_relations(self, pairs) -> "Poset":
         """New poset with extra relations (p below q), transitively reduced."""
-        rel = {(p, q) for q in self.elements for p in self._below[q]}
-        rel |= {(str(p), str(q)) for p, q in pairs}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        if a == d:
-                            raise PosetError("added relations create a cycle")
-                        rel.add((a, d))
-                        changed = True
+        below = {e: set(s) for e, s in self._below.items()}
+        for p, q in pairs:
+            p, q = str(p), str(q)
+            if p not in below or q not in below:
+                raise PosetError(f"relation ({p},{q}) references unknown element")
+            if p == q:
+                raise PosetError(f"reflexive relation at {p}")
+            if q in below[p]:
+                raise PosetError("added relations create a cycle")
+            # the closure stays transitive: everything at or below p goes
+            # below q and below everything above q
+            gain = below[p] | {p}
+            for z in self.elements:
+                if z == q or q in below[z]:
+                    below[z] |= gain
         covers = [
             (p, q)
-            for (p, q) in rel
-            if not any((p, z) in rel and (z, q) in rel for z in self.elements)
+            for q in self.elements
+            for p in below[q]
+            if not any(p in below[z] for z in below[q])
         ]
         return Poset.from_covers(self.elements, covers)
 

@@ -7,16 +7,24 @@ the bipartite tree and the outgoing edges the right column, both ordered
 top to bottom (the per-vertex edge order of the network; for duals of
 embeddings this is the boundary order).  The canonical reduction tree always
 reduces the highest-index zero-netflow vertex first.
+
+A single cell step, `_step`, replaces a face F by the linear extension paired
+with a noncrossing tree and reduces the dual vertex v_F by the same tree;
+both `full_subdivision_check` and `leaves_to_extensions` run on it.  Each
+edge of a reduced network carries its inclusion as a root path: the root
+edges it stands for, tail to head (a tree edge joins the paths of its in-
+and out-edge).  `_root_point` maps a flow into root coordinates with them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import binomial, enumerate_compositions
-from .flow import FlowError, FlowNetwork, enumerate_integer_flows, leaf_volume, simplify
-from .poset import MarkedPoset, PosetError, lattice_points, marked_volume
+from .combinat import binomial, enumerate_compositions, finite_difference
+from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
+from .poset import BOTTOM, TOP, MarkedPoset, PosetError, lattice_points, marked_volume
 from .transform import (
     SENTINEL,
     DualNetwork,
@@ -171,7 +179,7 @@ def check_sign_convention(g: FlowNetwork) -> None:
 @dataclass
 class ReductionNode:
     network: FlowNetwork
-    inclusion: tuple[tuple[int, ...], ...]  # per edge: coefficients over root edges
+    inclusion: tuple[tuple[int, ...], ...]  # per edge: its root path
     parent: int | None = None
     reduced_vertex: int | None = None
     composition: tuple[int, ...] | None = None
@@ -194,14 +202,7 @@ class ReductionTree:
 
     def include_flow(self, node_index: int, flow) -> tuple[int, ...]:
         """Express a flow on a node's network in the root's edge coordinates."""
-        node = self.nodes[node_index]
-        m = len(self.nodes[0].network.edges)
-        out = [0] * m
-        for val, vec in zip(flow, node.inclusion):
-            for e, c in enumerate(vec):
-                if c:
-                    out[e] += c * val
-        return tuple(out)
+        return _root_point(flow, self.nodes[node_index].inclusion, len(self.root.network.edges))
 
     def to_json(self) -> dict:
         return {
@@ -227,6 +228,26 @@ class ReductionTree:
         return "\n".join(lines) + "\n"
 
 
+def _root_point(flow, inclusion, m: int) -> tuple[int, ...]:
+    """A flow on a reduced network, in the m edge coordinates of its root."""
+    out = [0] * m
+    for val, path in zip(flow, inclusion):
+        for e in path:
+            out[e] += val
+    return tuple(out)
+
+
+def _carry(values, old_to_new, pairs, fresh) -> tuple:
+    """Per-edge values of a compound reduction's child: survivors keep their
+    value, the tree edges of `pairs` take `fresh` in order."""
+    out = [None] * (len(old_to_new) + len(pairs))
+    for old, new in old_to_new.items():
+        out[new] = values[old]
+    for (idx, _, _), x in zip(pairs, fresh):
+        out[idx] = x
+    return tuple(out)
+
+
 def _next_zero_vertex(g: FlowNetwork):
     for v in range(g.num_vertices - 1, -1, -1):
         if g.netflow[v] == 0 and g.num_vertices > 1:
@@ -238,10 +259,7 @@ def canonical_reduction_tree(g: FlowNetwork, order=None) -> ReductionTree:
     """Fully expand compounded reductions, highest-index zero-netflow vertex
     first (or along the given sequence of vertex indices of g)."""
     check_sign_convention(g)
-    identity = tuple(
-        tuple(1 if j == i else 0 for j in range(len(g.edges))) for i in range(len(g.edges))
-    )
-    nodes = [ReductionNode(g, identity)]
+    nodes = [ReductionNode(g, tuple((i,) for i in range(len(g.edges))))]
     children: dict[int, list[int]] = {}
     plan = None
     if order is not None:
@@ -260,15 +278,13 @@ def canonical_reduction_tree(g: FlowNetwork, order=None) -> ReductionTree:
         children[ni] = []
         for tree in enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v)):
             child, old_to_new, pairs = compound_reduce(net, v, tree)
-            inc = [None] * len(child.edges)
-            for old, new in old_to_new.items():
-                inc[new] = nodes[ni].inclusion[old]
-            for (idx, ein, eout) in pairs:
-                a = nodes[ni].inclusion[ein]
-                b = nodes[ni].inclusion[eout]
-                inc[idx] = tuple(x + y for x, y in zip(a, b))
+            inc = nodes[ni].inclusion
             node = ReductionNode(
-                child, tuple(inc), parent=ni, reduced_vertex=v, composition=tree.to_composition()
+                child,
+                _carry(inc, old_to_new, pairs, [inc[a] + inc[b] for _, a, b in pairs]),
+                parent=ni,
+                reduced_vertex=v,
+                composition=tree.to_composition(),
             )
             nodes.append(node)
             ci = len(nodes) - 1
@@ -361,8 +377,6 @@ def gamma_cells(me: MarkedEmbedding, face_id: str) -> list[tuple[NoncrossingTree
 def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> MarkedEmbedding:
     """Replace the face by the given linear order of its elements, rerouting
     the neighbouring boundary chains through the new chain."""
-    from .poset import BOTTOM, TOP
-
     fi = me.face_ids.index(face_id)
     face = me.faces[fi]
     sigma = tuple(sigma)
@@ -413,7 +427,10 @@ def subdivide_marked_face(me: MarkedEmbedding, face_id: str) -> list[MarkedEmbed
     face = me.faces[fi]
     k, l = len(face.left), len(face.right)
     exts = face_extensions(face)
-    assert len(exts) == binomial(k + l - 4, l - 2)
+    if len(exts) != binomial(k + l - 4, l - 2):
+        raise EmbeddingError(
+            f"face {face_id} has {len(exts)} extensions, not binom({k + l - 4}, {l - 2})"
+        )
     return [subdivide_with_extension(me, face_id, s) for s in exts]
 
 
@@ -421,19 +438,28 @@ def subdivide_marked_face(me: MarkedEmbedding, face_id: str) -> list[MarkedEmbed
 # the two subdivisions together
 
 
-def _dual_signature(dn: DualNetwork):
+@dataclass
+class _CellState:
+    me: MarkedEmbedding
+    network: FlowNetwork
+    keys: tuple  # DualNetwork vertex keys
+    crossings: tuple
+    inclusion: tuple  # root paths in the unsimplified dual of the root embedding
+
+
+def _dual_signature(state: _CellState):
     """Labeled-network signature: edges as (tail key, head key, crossing)
     with per-vertex boundary orders, plus keyed netflows.  Keys use face ids
     so that signatures survive re-indexing."""
-    me = dn.embedding
+    me = state.me
 
     def keyof(v):
-        k = dn.vertex_keys[v]
+        k = state.keys[v]
         return (k[0], me.face_ids[k[1]]) + tuple(k[2:])
 
-    net = dn.network
+    net = state.network
     edges = sorted(
-        (keyof(net.edges[i][0]), keyof(net.edges[i][1]), dn.crossings[i])
+        (keyof(net.edges[i][0]), keyof(net.edges[i][1]), state.crossings[i])
         for i in range(len(net.edges))
     )
     netflows = sorted((keyof(v), net.netflow[v]) for v in range(net.num_vertices))
@@ -442,27 +468,14 @@ def _dual_signature(dn: DualNetwork):
         orders.append(
             (
                 keyof(v),
-                tuple(dn.crossings[i] for i in net.in_edges(v)),
-                tuple(dn.crossings[i] for i in net.out_edges(v)),
+                tuple(state.crossings[i] for i in net.in_edges(v)),
+                tuple(state.crossings[i] for i in net.out_edges(v)),
             )
         )
     return edges, netflows, sorted(orders)
 
 
-@dataclass
-class _CellState:
-    me: MarkedEmbedding
-    network: FlowNetwork
-    keys: tuple
-    crossings: tuple
-    inclusion: tuple
-    sigmas: tuple = ()
-    compositions: tuple = ()
-
-
-def _simplified_dual_state(me: MarkedEmbedding) -> tuple[_CellState, DualNetwork, tuple]:
-    from .poset import BOTTOM, TOP
-
+def _simplified_dual_state(me: MarkedEmbedding) -> tuple[_CellState, DualNetwork]:
     dn = build_G_PAlambda(me)
     net, vmap, emap = simplify(dn.network)
     keys = tuple(dn.vertex_keys[v] for v in vmap)
@@ -474,21 +487,13 @@ def _simplified_dual_state(me: MarkedEmbedding) -> tuple[_CellState, DualNetwork
                 "degenerate markings: equal consecutive boundary marks prune gap sources"
             )
     crossings = tuple(dn.crossings[e] for e in emap)
-    identity = tuple(
-        tuple(1 if j == emap[i] else 0 for j in range(len(dn.network.edges)))
-        for i in range(len(net.edges))
-    )
-    return _CellState(me, net, keys, crossings, identity), dn, emap
+    return _CellState(me, net, keys, crossings, tuple((e,) for e in emap)), dn
 
 
 def _leaf_cell_volume(net: FlowNetwork, dim: int) -> Fraction:
     """Volume of a fully reduced cell in the given ambient dimension: the
     simplex-product formula when it applies, otherwise the exact Ehrhart
     leading coefficient (multi-sink cells are not simplex products)."""
-    import math
-
-    from .flow import kostant
-
     if net.num_vertices == 1:
         return Fraction(1) if dim == 0 else Fraction(0)
     if net.dimension() == dim:
@@ -500,8 +505,7 @@ def _leaf_cell_volume(net: FlowNetwork, dim: int) -> Fraction:
         kostant(net.with_netflow(tuple(t * x for x in net.netflow)))
         for t in range(dim + 1)
     ]
-    lead = sum((-1) ** (dim - i) * math.comb(dim, i) * c for i, c in enumerate(counts))
-    return Fraction(lead, math.factorial(dim))
+    return Fraction(finite_difference(counts), math.factorial(dim))
 
 
 def _reduction_order(state: _CellState) -> list[str]:
@@ -513,54 +517,54 @@ def _reduction_order(state: _CellState) -> list[str]:
     return out
 
 
-def _expand_cell(state: _CellState, face_id: str, check: bool) -> list[_CellState]:
+def _face_vertex(state: _CellState, face_id: str) -> tuple[int, Face]:
+    """The face and its dual vertex v_F, whose in- and out-degrees must
+    match the face's right and left boundaries."""
     fi = state.me.face_ids.index(face_id)
     v = state.keys.index(("face", fi))
     face = state.me.faces[fi]
     net = state.network
     if net.indeg(v) != len(face.right) - 1 or net.outdeg(v) != len(face.left) - 1:
         raise EmbeddingError("vertex degrees do not match the face boundary")
+    return v, face
+
+
+def _step(state: _CellState, face_id: str, tree: NoncrossingTree):
+    """The one cell step: replace the face by the linear extension paired
+    with the tree, and reduce its dual vertex by the tree.
+
+    Returns (child, old_to_new, pairs) with the map and the tree-edge pairs
+    of `compound_reduce`.
+    """
+    v, face = _face_vertex(state, face_id)
+    sigma = sigma_from_tree(face, tree)
+    child_me = subdivide_with_extension(state.me, face_id, sigma)
+    child_net, old_to_new, pairs = compound_reduce(state.network, v, tree)
+    keys = tuple(
+        (k[0], child_me.face_ids.index(state.me.face_ids[k[1]])) + tuple(k[2:])
+        for u, k in enumerate(state.keys)
+        if u != v
+    )
+    crossings = [(sigma[rank + 1], sigma[rank]) for rank in range(len(pairs))]
+    inc = state.inclusion
+    child = _CellState(
+        child_me,
+        child_net,
+        keys,
+        _carry(state.crossings, old_to_new, pairs, crossings),
+        _carry(inc, old_to_new, pairs, [inc[a] + inc[b] for _, a, b in pairs]),
+    )
+    return child, old_to_new, pairs
+
+
+def _expand_cell(state: _CellState, face_id: str, check: bool) -> list[_CellState]:
+    v, _ = _face_vertex(state, face_id)
     out = []
-    for tree in enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v)):
-        sigma = sigma_from_tree(face, tree)
-        child_me = subdivide_with_extension(state.me, face_id, sigma)
-        child_net, old_to_new, pairs = compound_reduce(net, v, tree)
-        crossings = [None] * len(child_net.edges)
-        inclusion = [None] * len(child_net.edges)
-        for old, new in old_to_new.items():
-            crossings[new] = state.crossings[old]
-            inclusion[new] = state.inclusion[old]
-        for rank, (idx, ein, eout) in enumerate(pairs):
-            crossings[idx] = (sigma[rank + 1], sigma[rank])
-            inclusion[idx] = tuple(
-                a + b for a, b in zip(state.inclusion[ein], state.inclusion[eout])
-            )
-        new_keys = []
-        for u in range(net.num_vertices):
-            if u == v:
-                continue
-            k = state.keys[u]
-            new_keys.append((k[0], child_me.face_ids.index(state.me.face_ids[k[1]])) + tuple(k[2:]))
-        child = _CellState(
-            child_me,
-            child_net,
-            tuple(new_keys),
-            tuple(crossings),
-            tuple(inclusion),
-            state.sigmas + (sigma,),
-            state.compositions + (tree.to_composition(),),
-        )
+    for tree in enumerate_noncrossing_trees(state.network.indeg(v), state.network.outdeg(v)):
+        child, _, _ = _step(state, face_id, tree)
         if check:
-            direct_state, _, _ = _simplified_dual_state(child_me)
-            got = _dual_signature(
-                DualNetwork(child_me, child.network, child.keys, child.crossings)
-            )
-            want = _dual_signature(
-                DualNetwork(
-                    child_me, direct_state.network, direct_state.keys, direct_state.crossings
-                )
-            )
-            if got != want:
+            direct, _ = _simplified_dual_state(child.me)
+            if _dual_signature(child) != _dual_signature(direct):
                 raise AssertionError(
                     f"reduced network differs from the direct dual after replacing {face_id}"
                 )
@@ -594,7 +598,7 @@ def full_subdivision_check(
     if any(f != "L" for f in me.flags):
         raise EmbeddingError("full subdivision check supports left-flagged embeddings")
     me.validate()
-    root, dn, emap = _simplified_dual_state(me)
+    root, dn = _simplified_dual_state(me)
     plan = _reduction_order(root) if face_order is None else list(face_order)
     if sorted(plan) != sorted(_reduction_order(root)):
         raise EmbeddingError("face_order must permute the reducible faces")
@@ -617,14 +621,8 @@ def full_subdivision_check(
         if cell_vol != _leaf_cell_volume(cell.network, dim):
             volumes_ok = False
         order_side = {gamma(dn, x) for x in lattice_points(cell.me.mp)}
-        flow_side = set()
-        for g in enumerate_integer_flows(cell.network):
-            vec = [0] * m
-            for val, coeffs in zip(g, cell.inclusion):
-                for e, c in enumerate(coeffs):
-                    if c:
-                        vec[e] += c * val
-            flow_side.add(tuple(vec))
+        flows = enumerate_integer_flows(cell.network)
+        flow_side = {_root_point(g, cell.inclusion, m) for g in flows}
         if order_side != flow_side or not order_side <= root_pts:
             lattice_ok = False
         covered |= order_side
@@ -657,7 +655,7 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     if any(f != "L" for f in me.flags):
         raise EmbeddingError("the extension bijection runs on left-flagged embeddings")
     me.validate()
-    root, dn, emap = _simplified_dual_state(me)
+    root, _ = _simplified_dual_state(me)
     net = root.network
     sinks = [v for v in range(net.num_vertices) if net.netflow[v] < 0]
     if len(sinks) != 1 or sinks[0] != net.num_vertices - 1:
@@ -683,32 +681,14 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     plan = _reduction_order(root)
     records = []
     for f in enumerate_integer_flows(net, tuple(shifted)):
-        state = root
-        values = list(f)
+        state, values = root, f
         for face_id in plan:
-            fi = state.me.face_ids.index(face_id)
-            v = state.keys.index(("face", fi))
-            comp = tuple(values[i] for i in state.network.in_edges(v))
+            v, _ = _face_vertex(state, face_id)
             if any(values[i] != 0 for i in state.network.out_edges(v)):
                 raise AssertionError("nonzero flow on an edge into the sink")
-            tree = NoncrossingTree.from_composition(comp)
-            face = state.me.faces[fi]
-            sigma = sigma_from_tree(face, tree)
-            child_me = subdivide_with_extension(state.me, face_id, sigma)
-            child_net, old_to_new, pairs = compound_reduce(state.network, v, tree)
-            new_values = [0] * len(child_net.edges)
-            for old, new in old_to_new.items():
-                new_values[new] = values[old]
-            new_keys = []
-            for u in range(state.network.num_vertices):
-                if u == v:
-                    continue
-                kk = state.keys[u]
-                new_keys.append(
-                    (kk[0], child_me.face_ids.index(state.me.face_ids[kk[1]])) + tuple(kk[2:])
-                )
-            state = _CellState(child_me, child_net, tuple(new_keys), (), ())
-            values = new_values
+            tree = NoncrossingTree.from_composition(values[i] for i in state.network.in_edges(v))
+            state, old_to_new, pairs = _step(state, face_id, tree)
+            values = _carry(values, old_to_new, pairs, [0] * len(pairs))
         if any(values):
             raise AssertionError("leaf flow should vanish identically")
         # leaf source out-degrees recover the gap composition

@@ -470,7 +470,8 @@ def gamma(dn: DualNetwork, x: dict):
     for (p, q) in dn.crossings:
         v = xh[q] - xh[p]
         values.append(int(v) if v.denominator == 1 else v)
-    assert dn.network.check_flow(values)
+    if not dn.network.check_flow(values):
+        raise EmbeddingError("Gamma image of a feasible point is not a feasible flow on the dual")
     return tuple(values)
 
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from . import corpus
-from .combinat import count_N, enumerate_compositions, enumerate_shsyt
+from .combinat import count_N, enumerate_compositions, enumerate_shsyt, finite_difference
 from .flow import (
     enumerate_integer_flows,
     kostant,
@@ -153,21 +153,15 @@ def verify_flow(tmax: int = 3) -> list[dict]:
             lidskii_points_binomial(g.with_netflow(tuple(t * x for x in g.netflow)))
             for t in range(dim + 2)
         ]
-        lead = sum(
-            (-1) ** (dim - i) * math.comb(dim, i) * c for i, c in enumerate(counts[: dim + 1])
-        )
         out.append(
             record(
                 "lidskii/volume=ehrhart-lead",
                 name,
                 lidskii_volume(g),
-                Fraction(lead, math.factorial(dim)),
+                Fraction(finite_difference(counts[: dim + 1]), math.factorial(dim)),
             )
         )
-        top = sum(
-            (-1) ** (dim + 1 - i) * math.comb(dim + 1, i) * c for i, c in enumerate(counts)
-        )
-        out.append(record("lidskii/ehrhart-degree", name, 0, top))
+        out.append(record("lidskii/ehrhart-degree", name, 0, finite_difference(counts)))
         for t in range(1, tmax + 1):
             gt_net = g.with_netflow(tuple(t * x for x in g.netflow))
             out.append(
@@ -201,13 +195,12 @@ def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0) -> list[dict]:
         for t in range(dim + 1):
             scaled = {a: v * t for a, v in mp.marking.items()}
             counts.append(len(lattice_points(mp.with_marking(scaled))))
-        lead = sum((-1) ** (dim - i) * math.comb(dim, i) * c for i, c in enumerate(counts))
         out.append(
             record(
                 "marked-volume/ehrhart-lead",
                 name,
                 marked_volume(mp),
-                Fraction(lead, math.factorial(dim)),
+                Fraction(finite_difference(counts), math.factorial(dim)),
             )
         )
     for name, me in corpus.embeddings():

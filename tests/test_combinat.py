@@ -14,6 +14,7 @@ from gtflow.combinat import (
     enumerate_shsyt,
     enumerate_shsyt_corner_oracle,
     enumerate_ssyt,
+    finite_difference,
     multiset_binomial,
 )
 
@@ -72,6 +73,14 @@ def test_binomial_polynomial_convention():
     assert binomial(-2, 3) == -4
     assert binomial(5, 0) == 1
     assert binomial(5, -1) == 0
+
+
+def test_finite_difference_of_polynomial_values():
+    # t^3 - t + 5: third difference 3!, fourth difference 0
+    values = [t**3 - t + 5 for t in range(5)]
+    assert finite_difference(values[:4]) == 6
+    assert finite_difference(values) == 0
+    assert finite_difference([7]) == 7
 
 
 def test_multiset_binomial_examples():

@@ -41,6 +41,18 @@ def test_poset_rejects_cycle_and_redundant_cover():
         Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
+def test_with_relations_closes_and_rejects_bad_pairs():
+    # x < y makes bot < y and x < top redundant
+    p = DIAMOND.with_relations([("x", "y")])
+    assert p.covers == (("bot", "x"), ("x", "y"), ("y", "top"))
+    with pytest.raises(PosetError):
+        CHAIN3.with_relations([("c", "a")])
+    with pytest.raises(PosetError):
+        Poset.from_covers(["a", "b"], []).with_relations([("a", "b"), ("a", "a")])
+    with pytest.raises(PosetError):
+        CHAIN3.with_relations([("a", "z")])
+
+
 def test_validate_marked_poset_examples():
     assert validate_marked_poset(chain_mp(0, 2))
     assert not validate_marked_poset(MarkedPoset.make(CHAIN3, {"a": 3, "c": 1}))

@@ -7,6 +7,7 @@ from gtflow.combinat import enumerate_compositions
 from gtflow.flow import (
     FlowError,
     FlowNetwork,
+    enumerate_integer_flows,
     kostant,
     lidskii_volume,
     simplify,
@@ -165,6 +166,29 @@ def test_interior_sample_disjoint():
     assert interior_sample_disjoint(canonical_reduction_tree(build_G_lambda((2, 1, 0)).network))
 
 
+def _root_vertex(tree, ni, u):
+    """The root vertex that vertex u of node ni descends from."""
+    node = tree.nodes[ni]
+    while node.parent is not None:
+        u += u >= node.reduced_vertex
+        node = tree.nodes[node.parent]
+    return u
+
+
+def test_inclusions_are_root_paths():
+    for g in (CRY5, build_G_lambda((3, 1, 0)).network):
+        tree = canonical_reduction_tree(g)
+        for ni, node in enumerate(tree.nodes):
+            for (tail, head), path in zip(node.network.edges, node.inclusion):
+                walk = [g.edges[e] for e in path]
+                assert walk[0][0] == _root_vertex(tree, ni, tail)
+                assert walk[-1][1] == _root_vertex(tree, ni, head)
+                assert all(a[1] == b[0] for a, b in zip(walk, walk[1:]))
+        for li in tree.leaves():
+            for f in enumerate_integer_flows(tree.nodes[li].network):
+                assert g.check_flow(tree.include_flow(li, f))
+
+
 # ---------------------------------------------------------------------------
 # order side
 
@@ -274,7 +298,7 @@ def test_face_order_naturality():
     from gtflow.subdivision import _reduction_order, _simplified_dual_state
 
     me = gt_embedding((3, 2, 1, 0))
-    root, _, _ = _simplified_dual_state(me)
+    root, _ = _simplified_dual_state(me)
     plan = _reduction_order(root)
     r1 = full_subdivision_check(me)
     r2 = full_subdivision_check(me, face_order=list(reversed(plan)))
