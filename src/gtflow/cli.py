@@ -3,6 +3,8 @@
 One subcommand per capability: gt, kostant, lidskii, poset2flow, skew,
 subdivide, bijection, verify, export.  All numeric output is exact
 (integers in decimal, rationals as p/q); JSON output is deterministic.
+Exit codes: 0 success, 1 a checked identity failed, 2 bad input (one
+`gtflow: <message>` line on standard error).
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def cmd_export(args) -> int:
         tree = canonical_reduction_tree(g)
         _emit(tree.to_dot() if args.format == "dot" else _dump_json(tree.to_json()), args.out)
     else:
-        raise SystemExit("export needs --network, --embedding, or --tree")
+        raise ValueError("export needs --network, --embedding, or --tree")
     return 0
 
 
@@ -304,7 +306,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_export)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # FlowError, PosetError and EmbeddingError included
+        print(f"gtflow: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

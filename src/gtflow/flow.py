@@ -142,6 +142,10 @@ class FlowNetwork:
             "edges": [list(e) for e in self.edges],
             "netflow": list(self.netflow),
         }
+        for key in ("in_orders", "out_orders"):
+            orders = getattr(self, key)
+            if orders is not None:
+                d[key] = [list(o) for o in orders]
         if self.names is not None:
             d["names"] = list(self.names)
         return d
@@ -152,6 +156,8 @@ class FlowNetwork:
             data["n"],
             [tuple(e) for e in data["edges"]],
             data["netflow"],
+            in_orders=data.get("in_orders"),
+            out_orders=data.get("out_orders"),
             names=data.get("names"),
         )
 

@@ -427,7 +427,7 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
         for k in range(1, n):
             if e <= prefix[k]:
                 return e + k
-        raise AssertionError("entry exceeds the diagonal composition range")
+        raise ValueError("entry exceeds the diagonal composition range")
 
     rows = []
     for i in range(1, n + 1):

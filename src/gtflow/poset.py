@@ -332,11 +332,14 @@ def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
             raise PosetError(f"lattice_points needs integer markings, got {a}={v}")
     p = mp.poset
     order = p.topo_order
+    marks = {a: int(v) for a, v in lam.items()}
     upper: dict[str, int] = {}
     for e in reversed(order):
-        cands = [int(lam[e])] if e in lam else []
+        cands = [marks[e]] if e in marks else []
         cands += [upper[q] for q in p.up_covers(e)]
         upper[e] = min(cands) if cands else 0
+    # down_covers scans every cover: once per element, not once per search node
+    downs = [p.down_covers(e) for e in order]
     points: list[dict[str, int]] = []
     vals: dict[str, int] = {}
 
@@ -345,9 +348,9 @@ def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
             points.append(dict(vals))
             return
         e = order[idx]
-        lo = max((vals[d] for d in p.down_covers(e)), default=None)
-        if e in lam:
-            v = int(lam[e])
+        lo = max((vals[d] for d in downs[idx]), default=None)
+        if e in marks:
+            v = marks[e]
             if lo is not None and lo > v:
                 return
             vals[e] = v
@@ -378,7 +381,7 @@ def point_feasible(mp: MarkedPoset, x: dict) -> bool:
     if set(x) != set(mp.poset.elements):
         return False
     for a, v in lam.items():
-        if Fraction(x[a]) != v:
+        if x[a] != v:
             return False
     for p, q in mp.poset.covers:
         if not x[p] <= x[q]:

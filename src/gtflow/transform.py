@@ -254,6 +254,12 @@ class DualNetwork:
     def vertex_index(self) -> dict[tuple, int]:
         return {k: i for i, k in enumerate(self.vertex_keys)}
 
+    @cached_property
+    def hat_marks(self) -> tuple:
+        """The extended marking at (0hat, 1hat), ints where integral."""
+        lamhat = self.embedding.extended_marking
+        return tuple(int(v) if v.denominator == 1 else v for v in (lamhat[BOTTOM], lamhat[TOP]))
+
     def gap_sources(self) -> tuple[int, ...]:
         """Indices of gap-source vertices, in vertex order."""
         return tuple(
@@ -458,21 +464,23 @@ def build_G_P(p: Poset, faces, face_ids=None, hat_values=(0, 1)) -> DualNetwork:
 
 def gamma(dn: DualNetwork, x: dict):
     """Map a point of the marked order polytope to a flow: the value on a
-    dual edge is the difference of the point across the crossed cover."""
-    me = dn.embedding
-    if not point_feasible(me.mp, {k: Fraction(v) for k, v in x.items()}):
+    dual edge is the difference of the point across the crossed cover.
+
+    A point whose coordinates are all ints is mapped in int arithmetic;
+    any other point is converted to Fractions first.  Every call checks
+    that the point is feasible and that its image is a feasible flow.
+    """
+    if not all(type(v) is int for v in x.values()):
+        x = {k: Fraction(v) for k, v in x.items()}
+    if not point_feasible(dn.embedding.mp, x):
         raise PosetError("point is not in the marked order polytope")
-    lamhat = me.extended_marking
-    xh = {k: Fraction(v) for k, v in x.items()}
-    xh[BOTTOM] = lamhat[BOTTOM]
-    xh[TOP] = lamhat[TOP]
-    values = []
-    for (p, q) in dn.crossings:
-        v = xh[q] - xh[p]
-        values.append(int(v) if v.denominator == 1 else v)
+    xh = dict(x)
+    xh[BOTTOM], xh[TOP] = dn.hat_marks
+    values = [xh[q] - xh[p] for p, q in dn.crossings]
+    values = tuple(int(v) if v.denominator == 1 else v for v in values)
     if not dn.network.check_flow(values):
         raise EmbeddingError("Gamma image of a feasible point is not a feasible flow on the dual")
-    return tuple(values)
+    return values
 
 
 def gamma_inverse(dn: DualNetwork, f) -> dict:

@@ -43,6 +43,7 @@ from .poset import (
     unit_markings,
 )
 from .subdivision import (
+    DegenerateMarkingError,
     canonical_reduction_tree,
     full_subdivision_check,
     leaves_to_extensions,
@@ -270,15 +271,13 @@ def verify_subdivision(amax: int = 3) -> list[dict]:
                 reduction_tree_volume(tree),
             )
         )
-    from .transform import EmbeddingError
-
     for name, me in corpus.embeddings():
         if any(f != "L" for f in me.flags):
             continue
         try:
             report = full_subdivision_check(me)
-        except EmbeddingError:
-            continue  # degenerate markings: gap sources prune away
+        except DegenerateMarkingError:
+            continue
         out.append(record("subdivision/cell-pairing", name, True, report.ok))
     for name, me in corpus.single_sink_embeddings():
         mp = me.mp

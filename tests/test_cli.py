@@ -136,3 +136,17 @@ def test_network_json_round_trip_via_files(tmp_path, capsys):
     f.write_text(json.dumps(g.to_json()))
     code, out = run(capsys, "export", "--network", str(f), "--format", "json")
     assert FlowNetwork.from_json(json.loads(out)) == g
+
+
+def test_bad_input_gives_one_line_and_exit_2(tmp_path, capsys):
+    def fails(*argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        return code == 2 and err.startswith("gtflow: ") and err.count("\n") == 1
+
+    assert fails("gt", "dim", "1,2,3")
+    f = tmp_path / "bad.network.json"
+    f.write_text(json.dumps({"n": 2, "edges": [[1, 0]], "netflow": [1, -1]}))
+    assert fails("kostant", "--network", str(f))
+    f.write_text("{not json")
+    assert fails("lidskii", "--network", str(f))

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -158,6 +159,23 @@ def test_flow_json_round_trip():
     assert FlowNetwork.from_json(g.to_json()) == FlowNetwork.make(
         3, g.edges, g.netflow
     )
+
+
+def test_dual_network_json_round_trip_keeps_edge_orders():
+    from gtflow import corpus
+    from gtflow.transform import build_G_PAlambda
+
+    for name, me in corpus.embeddings():
+        net = build_G_PAlambda(me).network
+        data = json.loads(json.dumps(net.to_json()))
+        again = FlowNetwork.from_json(data)
+        assert again == net, name
+        for v in range(net.num_vertices):
+            assert again.in_edges(v) == net.in_edges(v), name
+            assert again.out_edges(v) == net.out_edges(v), name
+        # files written before the orders were serialized still load
+        del data["in_orders"], data["out_orders"]
+        assert FlowNetwork.from_json(data).in_orders is None
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtflow import subdivision
 from gtflow.combinat import enumerate_compositions
 from gtflow.flow import (
     FlowError,
@@ -15,6 +16,7 @@ from gtflow.flow import (
 from gtflow.gt import build_G_lambda, gt_embedding, gt_volume_product
 from gtflow.poset import MarkedPoset, Poset, count_marked_extensions, marked_volume
 from gtflow.subdivision import (
+    DegenerateMarkingError,
     NoncrossingTree,
     canonical_reduction_tree,
     compound_reduce,
@@ -307,3 +309,29 @@ def test_face_order_naturality():
     assert r1.total_volume == r2.total_volume
     # the cells of the GT subdivision are labeled by shifted tableaux
     assert r1.cells == len(enumerate_shsyt(4))
+
+
+@pytest.mark.parametrize("tamper", ["add-outside-point", "drop-point"])
+def test_full_subdivision_check_flags_tampered_cell_points(monkeypatch, tamper):
+    me = gt_embedding((3, 1, 0))
+    free = next(e for e in me.mp.poset.elements if e not in me.mp.marking)
+    real = subdivision.lattice_points
+
+    def tampered(mp):
+        pts = real(mp)
+        if mp == me.mp:
+            return pts
+        if tamper == "drop-point":
+            return pts[:-1]
+        return pts + [{**pts[0], free: 99}]
+
+    monkeypatch.setattr(subdivision, "lattice_points", tampered)
+    report = full_subdivision_check(me)
+    assert not report.lattice_matches
+    assert report.volumes_match
+
+
+def test_full_subdivision_check_rejects_degenerate_markings():
+    # verify_subdivision skips exactly this error; other failures propagate
+    with pytest.raises(DegenerateMarkingError):
+        full_subdivision_check(gt_embedding((2, 2, 0)))

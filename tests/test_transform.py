@@ -1,5 +1,9 @@
 import math
+from fractions import Fraction
+
 import pytest
+
+from gtflow import corpus
 
 from gtflow.combinat import count_ssyt
 from gtflow.flow import enumerate_integer_flows, kostant, lidskii_volume, simplify
@@ -9,6 +13,7 @@ from gtflow.poset import (
     TOP,
     MarkedPoset,
     Poset,
+    PosetError,
     lattice_points,
     marked_volume,
 )
@@ -267,3 +272,23 @@ def test_skew_volume_matches_marked_volume():
         assert len(enumerate_skew_points(lam_t, mu_t, m)) == kostant(
             build_G_PAlambda(build_skew_gt(lam_t, mu_t, m)).network
         )
+
+
+def test_gamma_int_and_fraction_points_agree():
+    for name, me in corpus.embeddings():
+        dn = build_G_PAlambda(me)
+        for x in lattice_points(me.mp):
+            f = gamma(dn, x)
+            assert f == gamma(dn, {k: Fraction(v) for k, v in x.items()}), name
+            assert all(type(v) is int for v in f), name
+
+
+def test_gamma_rejects_infeasible_integer_points():
+    me = gt_embedding((2, 1, 0))
+    dn = build_G_PAlambda(me)
+    x = lattice_points(me.mp)[0]
+    free = next(e for e in x if e not in me.mp.marking)
+    marked = next(iter(me.mp.marking))
+    for bad in ({**x, free: 3}, {**x, marked: x[marked] + 1}):
+        with pytest.raises(PosetError):
+            gamma(dn, bad)
