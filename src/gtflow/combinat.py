@@ -1,7 +1,7 @@
 """Exact combinatorial primitives shared by every other module.
 
-Compositions and dominance order, signed binomial coefficients, shifted
-standard Young tableaux of staircase shape, and semistandard tableau counts.
+Weak compositions, signed binomial coefficients, shifted standard Young
+tableaux of staircase shape, and semistandard tableau counts.
 All arithmetic is exact: Python ints and fractions.Fraction only, no floats.
 """
 
@@ -33,26 +33,10 @@ def as_weak_composition(parts) -> tuple[int, ...]:
     return t
 
 
-def dominance_geq(j, o) -> bool:
-    """True iff every prefix sum of j is >= the matching prefix sum of o."""
-    j = tuple(j)
-    o = tuple(o)
-    if len(j) != len(o):
-        raise ValueError(f"dominance comparison needs equal lengths: {len(j)} != {len(o)}")
-    sj = so = 0
-    for a, b in zip(j, o):
-        sj += a
-        so += b
-        if sj < so:
-            return False
-    return True
-
-
-def enumerate_compositions(total: int, parts: int, at_least=None) -> list[tuple[int, ...]]:
-    """Weak compositions of `total` into `parts` parts dominating `at_least`.
+def enumerate_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Weak compositions of `total` into `parts` parts.
 
     Deterministic order: first coordinate descending, recursing left to right.
-    `at_least=None` means no dominance filter.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
@@ -60,32 +44,19 @@ def enumerate_compositions(total: int, parts: int, at_least=None) -> list[tuple[
         raise ValueError("parts must be nonnegative")
     if parts == 0:
         return [()] if total == 0 else []
-    if at_least is None:
-        lo = (0,) * parts
-    else:
-        lo = as_weak_composition(at_least)
-        if len(lo) != parts:
-            raise ValueError("at_least must have length `parts`")
-    lo_prefix = [0]
-    for x in lo:
-        lo_prefix.append(lo_prefix[-1] + x)
-
     out: list[tuple[int, ...]] = []
     comp = [0] * parts
 
-    def rec(pos: int, remaining: int, prefix: int) -> None:
+    def rec(pos: int, remaining: int) -> None:
         if pos == parts - 1:
-            if prefix + remaining >= lo_prefix[parts]:
-                comp[pos] = remaining
-                out.append(tuple(comp))
+            comp[pos] = remaining
+            out.append(tuple(comp))
             return
         for v in range(remaining, -1, -1):
-            if prefix + v < lo_prefix[pos + 1]:
-                break  # smaller v only makes the prefix worse
             comp[pos] = v
-            rec(pos + 1, remaining - v, prefix + v)
+            rec(pos + 1, remaining - v)
 
-    rec(0, total, 0)
+    rec(0, total)
     return out
 
 

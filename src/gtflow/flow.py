@@ -152,6 +152,9 @@ class FlowNetwork:
 
     @staticmethod
     def from_json(data: dict) -> "FlowNetwork":
+        for key in ("n", "edges", "netflow"):
+            if not isinstance(data, dict) or key not in data:
+                raise FlowError(f"network JSON has no {key!r} key")
         return FlowNetwork.make(
             data["n"],
             [tuple(e) for e in data["edges"]],
@@ -212,6 +215,37 @@ def enumerate_integer_flows(g: FlowNetwork, b=None) -> list[tuple[int, ...]]:
     return flows
 
 
+def _targets(g: FlowNetwork) -> list[list[tuple[int, int]]]:
+    """Per vertex v, the sorted (w, multiplicity of edges v -> w) pairs."""
+    targets: list[list[tuple[int, int]]] = []
+    for v in range(g.num_vertices):
+        mult: dict[int, int] = {}
+        for i in g.out_edges(v):
+            w = g.edges[i][1]
+            mult[w] = mult.get(w, 0) + 1
+        targets.append(sorted(mult.items()))
+    return targets
+
+
+def _distribute(nxt: dict, state: tuple, v: int, supply: int, tv, count: int) -> None:
+    """Add count times every way of sending `supply` out of v along the edge
+    groups tv into nxt, keyed by the state with v cleared."""
+    if not tv:
+        if supply == 0:
+            key = state[:v] + (0,) + state[v + 1 :]
+            nxt[key] = nxt.get(key, 0) + count
+        return
+    for comp in enumerate_compositions(supply, len(tv)):
+        ways = count
+        new = list(state)
+        new[v] = 0
+        for (w, m), amount in zip(tv, comp):
+            ways *= math.comb(amount + m - 1, m - 1)
+            new[w] += amount
+        key = tuple(new)
+        nxt[key] = nxt.get(key, 0) + ways
+
+
 def kostant(g: FlowNetwork, b=None) -> int:
     """K_G(b): number of integer flows with netflow b.
 
@@ -225,37 +259,14 @@ def kostant(g: FlowNetwork, b=None) -> int:
     if sum(b) != 0:
         return 0
     n = g.num_vertices
-    # multiplicity of edges v -> w
-    targets: list[list[tuple[int, int]]] = []
-    for v in range(n):
-        mult: dict[int, int] = {}
-        for i in g.out_edges(v):
-            w = g.edges[i][1]
-            mult[w] = mult.get(w, 0) + 1
-        targets.append(sorted(mult.items()))
+    targets = _targets(g)
     states: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for v in range(n):
         nxt: dict[tuple[int, ...], int] = {}
         for state, count in states.items():
             supply = state[v] + b[v]
-            if supply < 0:
-                continue
-            tv = targets[v]
-            if not tv:
-                if supply == 0:
-                    key = state[:v] + (0,) + state[v + 1 :]
-                    nxt[key] = nxt.get(key, 0) + count
-                continue
-            for comp in enumerate_compositions(supply, len(tv)):
-                ways = 1
-                for (w, m), amount in zip(tv, comp):
-                    ways *= binomial(amount + m - 1, m - 1)
-                new = list(state)
-                new[v] = 0
-                for (w, m), amount in zip(tv, comp):
-                    new[w] += amount
-                key = tuple(new)
-                nxt[key] = nxt.get(key, 0) + count * ways
+            if supply >= 0:
+                _distribute(nxt, state, v, supply, targets[v], count)
         states = nxt
     return states.get((0,) * n, 0)
 
@@ -275,73 +286,74 @@ def check_lidskii_preconditions(g: FlowNetwork) -> None:
             raise FlowError(f"Lidskii formulas need an outgoing edge at vertex {v}")
 
 
-def _lidskii_sum(g: FlowNetwork, weight):
-    """Sum over weak compositions j of m-n dominating the out vector of
-    weight(j, out) * K_G(j - out, 0)."""
-    check_lidskii_preconditions(g)
+def _weighted_kostant(g: FlowNetwork, weight) -> int:
+    """Sum over weak compositions j of total = dim G = m - n + 1 of
+    prod_v weight(v, j_v, rem_v) * K_G(j - out, 0), where out_v = outdeg - 1
+    and rem_v = total - j_0 - ... - j_{v-1} is the j-mass still unassigned.
+
+    One Kostant DP in which vertex v also draws its own netflow term j_v.  The
+    mass drawn before v is read off the state (the flow committed to later
+    vertices plus out_0 + ... + out_{v-1}), so no extra coordinate is needed.
+    A j that fails dominance over out leaves a negative supply at some prefix
+    and dies; the sink takes netflow 0, so its in-edges carry nothing.
+    """
     n = g.num_vertices
-    out = tuple(g.out_shift(v) for v in range(n - 1))
-    total = len(g.edges) - (n - 1)
-    acc = 0
-    for j in enumerate_compositions(total, n - 1, at_least=out):
-        coeff = weight(j, out)
-        if coeff == 0:
-            continue
-        shifted = tuple(j[v] - out[v] for v in range(n - 1)) + (0,)
-        acc += coeff * kostant(g, shifted)
-    return acc
+    total = g.dimension()
+    sink = n - 1
+    targets = [[(w, m) for w, m in tv if w != sink] for tv in _targets(g)]
+    states: dict[tuple[int, ...], int] = {(0,) * n: 1}
+    out_before = 0
+    for v in range(n - 1):
+        out_v = g.out_shift(v)
+        drawn: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            rem = total - out_before - sum(state[v:])
+            for jv in range(max(0, out_v - state[v]), rem + 1):
+                w = weight(v, jv, rem)
+                if w:
+                    key = state[:v] + (state[v] + jv - out_v,) + state[v + 1 :]
+                    drawn[key] = drawn.get(key, 0) + count * w
+        states = {}
+        for state, count in drawn.items():
+            _distribute(states, state, v, state[v], targets[v], count)
+        out_before += out_v
+    return states.get((0,) * n, 0)
 
 
 def lidskii_volume(g: FlowNetwork) -> Fraction:
     """Volume of the flow polytope (Ehrhart leading-coefficient
-    normalization), as the dominance-filtered sum of
-    prod a_i^{j_i}/j_i! times Kostant evaluations."""
+    normalization): the sum over j dominating out of
+    prod_v a_v^{j_v}/j_v! times K_G(j - out, 0), a_v the netflow.
 
-    def weight(j, out):
-        term = Fraction(1)
-        for v, jv in enumerate(j):
-            a = g.netflow[v]
-            if a == 0 and jv > 0:
-                return Fraction(0)
-            term *= Fraction(a) ** jv
-            term /= math.factorial(jv)
-        return term
-
+    The kernel weight comb(rem_v, j_v) * a_v^{j_v} multiplies out to total!
+    times that term, so the integer sum is divided by total! once."""
+    check_lidskii_preconditions(g)
     if g.num_vertices == 1:
         return Fraction(1)
-    return Fraction(_lidskii_sum(g, weight))
+    a = g.netflow
+    total = _weighted_kostant(g, lambda v, jv, rem: math.comb(rem, jv) * a[v] ** jv)
+    return Fraction(total, math.factorial(g.dimension()))
 
 
 def lidskii_points_binomial(g: FlowNetwork) -> int:
-    """Lattice points of the flow polytope via binom(a_i + out_i, j_i)."""
-
-    def weight(j, out):
-        term = 1
-        for v, jv in enumerate(j):
-            term *= binomial(g.netflow[v] + out[v], jv)
-            if term == 0:
-                return 0
-        return term
-
+    """Lattice points of the flow polytope: the Lidskii sum with weight
+    prod_v binom(a_v + out_v, j_v)."""
+    check_lidskii_preconditions(g)
     if g.num_vertices == 1:
         return 1
-    return _lidskii_sum(g, weight)
+    top = [g.netflow[v] + g.out_shift(v) for v in range(g.num_vertices)]
+    return _weighted_kostant(g, lambda v, jv, rem: binomial(top[v], jv))
 
 
 def lidskii_points_multiset(g: FlowNetwork) -> int:
-    """Lattice points via the multiset-binomial form <a_i - in_i over j_i>."""
-
-    def weight(j, out):
-        term = 1
-        for v, jv in enumerate(j):
-            term *= multiset_binomial(g.netflow[v] - g.in_shift(v), jv)
-            if term == 0:
-                return 0
-        return term
-
+    """Lattice points via the multiset-binomial weight
+    prod_v <a_v - in_v over j_v>, in_v = indegree - 1; a_v - in_v may be
+    negative, so the weight can be nonzero at every j_v."""
+    check_lidskii_preconditions(g)
     if g.num_vertices == 1:
         return 1
-    return _lidskii_sum(g, weight)
+    top = [g.netflow[v] - g.in_shift(v) for v in range(g.num_vertices)]
+    return _weighted_kostant(g, lambda v, jv, rem: multiset_binomial(top[v], jv))
 
 
 # ---------------------------------------------------------------------------

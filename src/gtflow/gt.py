@@ -14,15 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combinat import (
-    ShiftedTableau,
-    as_partition,
-    binomial,
-    count_N,
-    dominance_geq,
-    enumerate_compositions,
-)
-from .flow import FlowNetwork, kostant
+from .combinat import ShiftedTableau, as_partition, count_N, enumerate_compositions
+from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
 from .poset import MarkedPoset, Poset
 from .transform import BOTTOM, SENTINEL, TOP, Face, MarkedEmbedding
 
@@ -215,11 +208,6 @@ def build_G_lambda(lam) -> GTNetwork:
     return GTNetwork(n, g, tuple(cells), tuple(labels))
 
 
-def gt_out_vector(n: int) -> tuple[int, ...]:
-    """out_i = outdegree - 1 along the canonical order (sink excluded)."""
-    return (1,) * (n - 1) + (1,) * ((n - 1) * (n - 2) // 2) + (0,) * (2 * (n - 1))
-
-
 def shifted_netflow(n: int, b) -> tuple[int, ...]:
     """(b_1-1, ..., b_{n-1}-1, -1, ..., -1, 0, ..., 0, 0) in canonical order."""
     b = tuple(int(x) for x in b)
@@ -230,62 +218,16 @@ def shifted_netflow(n: int, b) -> tuple[int, ...]:
 
 
 def gt_volume_lidskii(lam) -> Fraction:
-    """Volume as the Kostant-weighted sum over compositions (only the gap
-    positions carry nonzero netflow, so all other indices are forced to 0)."""
-    lam = as_partition(lam)
-    n = len(lam)
-    if n == 1:
-        return Fraction(1)
-    gtn = build_G_lambda(lam)
-    gaps = [lam[i] - lam[i + 1] for i in range(n - 1)]
-    total = n * (n - 1) // 2
-    vol = Fraction(0)
-    for j in enumerate_compositions(total, n - 1):
-        term = Fraction(1)
-        for g, ji in zip(gaps, j):
-            if g == 0 and ji > 0:
-                term = Fraction(0)
-                break
-            term *= Fraction(g) ** ji / math.factorial(ji)
-        if term == 0:
-            continue
-        vol += term * kostant(gtn.network, shifted_netflow(n, j))
-    return vol
+    """Volume of GT(lam) as the Lidskii volume of G_lambda: only the n - 1 row
+    sources carry netflow (the gaps of lam), so only they draw j terms."""
+    return lidskii_volume(build_G_lambda(lam).network)
 
 
 def gt_points_lidskii(lam) -> int:
-    """Lattice points via the binomial-weighted Lidskii sum on G_lambda."""
-    lam = as_partition(lam)
-    n = len(lam)
-    if n == 1:
-        return 1
-    gtn = build_G_lambda(lam)
-    gaps = [lam[i] - lam[i + 1] for i in range(n - 1)]
-    out = gt_out_vector(n)
-    mid = (n - 1) * (n - 2) // 2
-    tail = 2 * (n - 1)
-    total = n * (n - 1) // 2
-    from itertools import product
-
-    acc = 0
-    for mid_bits in product((0, 1), repeat=mid):
-        rem = total - sum(mid_bits)
-        if rem < 0:
-            continue
-        for head in enumerate_compositions(rem, n - 1):
-            j = head + mid_bits + (0,) * tail
-            if not dominance_geq(j, out):
-                continue
-            w = 1
-            for g, ji in zip(gaps, head):
-                w *= binomial(g + 1, ji)
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            args = tuple(ji - oi for ji, oi in zip(j, out)) + (0,)
-            acc += w * kostant(gtn.network, args)
-    return acc
+    """Lattice points of GT(lam) as the binomial Lidskii sum on G_lambda: the
+    weight is binom(gap + 1, j) at a row source, binom(1, j) at an interior
+    cell and binom(0, j) on the two border chains."""
+    return lidskii_points_binomial(build_G_lambda(lam).network)
 
 
 # ---------------------------------------------------------------------------

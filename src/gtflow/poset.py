@@ -13,6 +13,7 @@ ties broken so that larger poset elements come first.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,6 +219,9 @@ class Poset:
 
     @staticmethod
     def from_json(data: dict) -> "Poset":
+        for key in ("elements", "covers"):
+            if not isinstance(data, dict) or key not in data:
+                raise PosetError(f"poset JSON has no {key!r} key")
         return Poset.from_covers(data["elements"], [tuple(c) for c in data["covers"]])
 
 
@@ -528,15 +532,24 @@ def check_minkowski(mp: MarkedPoset, lam: dict, mu: dict, trials: int = 100, see
     mp_b = mp.with_marking(both)
     for m in (mp_l, mp_m, mp_b):
         m.validate()
-    vl, vm, vb = (enumerate_vertices(m) for m in (mp_l, mp_m, mp_b))
-    rng = random.Random(seed)
     els = mp.poset.elements
+    verts = [
+        [tuple(Fraction(v[e]) for e in els) for v in enumerate_vertices(m)]
+        for m in (mp_l, mp_m, mp_b)
+    ]
+    # one common denominator D turns every vertex into an int tuple; scaling
+    # all supports by the same positive factor keeps the comparison exact
+    den = math.lcm(*(x.denominator for vs in verts for v in vs for x in v))
+    vl, vm, vb = ([tuple(int(x * den) for x in v) for v in vs] for vs in verts)
+    rng = random.Random(seed)
 
     def support(vertices, c):
-        return max(sum(c[e] * Fraction(v[e]) for e in els) for v in vertices)
+        return max(sum(map(operator.mul, c, v)) for v in vertices)
 
     for _ in range(trials):
-        c = {e: Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for e in els}
+        # the objective is num/d per element, d in 1..7, scaled to an int by
+        # 420 = lcm(1..7)
+        c = [rng.randint(-30, 30) * 420 // rng.randint(1, 7) for _ in els]
         if support(vb, c) != support(vl, c) + support(vm, c):
             return False
     return True

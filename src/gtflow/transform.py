@@ -204,6 +204,13 @@ class MarkedEmbedding:
 
     @staticmethod
     def from_json(data: dict) -> "MarkedEmbedding":
+        for key in ("poset", "faces"):
+            if not isinstance(data, dict) or key not in data:
+                raise EmbeddingError(f"embedding JSON has no {key!r} key")
+        for f in data["faces"]:
+            for key in ("left", "right"):
+                if not isinstance(f, dict) or key not in f:
+                    raise EmbeddingError(f"embedding face has no {key!r} key")
         mp = MarkedPoset.from_json(data["poset"])
         faces = [Face.make(f["left"], f["right"]) for f in data["faces"]]
         flags = [f.get("flag", "L") for f in data["faces"]]

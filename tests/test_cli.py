@@ -150,3 +150,16 @@ def test_bad_input_gives_one_line_and_exit_2(tmp_path, capsys):
     assert fails("kostant", "--network", str(f))
     f.write_text("{not json")
     assert fails("lidskii", "--network", str(f))
+
+
+def test_missing_json_keys_give_one_line_and_exit_2(tmp_path, capsys):
+    f = tmp_path / "empty.network.json"
+    f.write_text("{}")
+    assert main(["kostant", "--network", str(f)]) == 2
+    assert capsys.readouterr().err == "gtflow: network JSON has no 'n' key\n"
+    data = gt_embedding((2, 1, 0)).to_json()
+    del data["faces"]
+    fe = tmp_path / "nofaces.embedding.json"
+    fe.write_text(json.dumps(data))
+    assert main(["poset2flow", "--embedding", str(fe)]) == 2
+    assert capsys.readouterr().err == "gtflow: embedding JSON has no 'faces' key\n"

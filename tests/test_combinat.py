@@ -9,7 +9,6 @@ from gtflow.combinat import (
     binomial,
     count_N,
     count_ssyt,
-    dominance_geq,
     enumerate_compositions,
     enumerate_shsyt,
     enumerate_shsyt_corner_oracle,
@@ -19,29 +18,18 @@ from gtflow.combinat import (
 )
 
 
-def test_dominance_examples():
-    assert dominance_geq((2, 0, 1), (1, 1, 1))
-    assert not dominance_geq((0, 2), (1, 1))
-    assert dominance_geq((1, 1, 1), (1, 1, 1))
-
-
-def test_dominance_length_mismatch():
-    with pytest.raises(ValueError):
-        dominance_geq((1, 2), (1, 2, 3))
-
-
 def test_enumerate_compositions_examples():
     assert enumerate_compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    assert enumerate_compositions(1, 2, at_least=(1, 0)) == [(1, 0)]
     assert enumerate_compositions(0, 3) == [(0, 0, 0)]
+    assert enumerate_compositions(1, 0) == []
 
 
-def brute_compositions(total, parts, at_least):
+def brute_compositions(total, parts):
     out = []
 
     def rec(prefix, left):
         if len(prefix) == parts:
-            if left == 0 and dominance_geq(prefix, at_least):
+            if left == 0:
                 out.append(tuple(prefix))
             return
         for v in range(left, -1, -1):
@@ -51,18 +39,11 @@ def brute_compositions(total, parts, at_least):
     return out
 
 
-@given(
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=1, max_value=4),
-    st.data(),
-)
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=4))
 @settings(deadline=None, max_examples=60)
-def test_enumerate_compositions_matches_filtered_generation(total, parts, data):
-    at_least = tuple(
-        data.draw(st.integers(min_value=0, max_value=2)) for _ in range(parts)
-    )
-    got = enumerate_compositions(total, parts, at_least=at_least)
-    assert got == brute_compositions(total, parts, at_least)
+def test_enumerate_compositions_matches_brute_generation(total, parts):
+    got = enumerate_compositions(total, parts)
+    assert got == brute_compositions(total, parts)
     assert len(set(got)) == len(got)
 
 

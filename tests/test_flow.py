@@ -1,11 +1,13 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtflow.combinat import finite_difference
 from gtflow.flow import (
     FlowError,
     FlowNetwork,
@@ -106,6 +108,33 @@ def test_lidskii_precondition_errors():
     with pytest.raises(FlowError) as e:
         lidskii_volume(g)
     assert "vertex 1" in str(e.value)
+
+
+def _lidskii_network(seed):
+    """A small network meeting the Lidskii preconditions: every non-sink
+    vertex has an edge to a later one (so the network is connected) and
+    netflow >= 0."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    edges = [(v, rng.randint(v + 1, n - 1)) for v in range(n - 1)]
+    for _ in range(rng.randint(0, 3)):
+        u = rng.randint(0, n - 2)
+        edges.append((u, rng.randint(u + 1, n - 1)))
+    a = [rng.randint(0, 2) for _ in range(n - 1)]
+    return FlowNetwork.make(n, sorted(edges), a + [-sum(a)])
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(deadline=None, max_examples=60)
+def test_lidskii_forms_match_enumeration(seed):
+    g = _lidskii_network(seed)
+    flows = len(enumerate_integer_flows(g))
+    assert lidskii_points_binomial(g) == lidskii_points_multiset(g) == flows
+    dim = g.dimension()
+    counts = [
+        len(enumerate_integer_flows(g, tuple(t * x for x in g.netflow))) for t in range(dim + 1)
+    ]
+    assert lidskii_volume(g) == Fraction(finite_difference(counts), math.factorial(dim))
 
 
 def test_lidskii_volume_is_ehrhart_leading_coefficient():

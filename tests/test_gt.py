@@ -1,6 +1,7 @@
 import math
 import pytest
 
+from gtflow import flow, gt
 from gtflow.combinat import count_N, count_ssyt, enumerate_compositions, enumerate_shsyt
 from gtflow.flow import enumerate_integer_flows, kostant, lidskii_points_binomial, lidskii_volume
 from gtflow.gt import (
@@ -168,3 +169,17 @@ def test_gt_lidskii_against_flow_module():
     from gtflow.flow import lidskii_points_multiset
 
     assert lidskii_points_multiset(build_G_lambda((1, 0)).network) == 2
+
+
+def test_lidskii_routes_run_no_kostant_dp(monkeypatch):
+    # every Lidskii sum is one weighted DP, not a Kostant DP per composition
+    def no_kostant(*args):
+        raise RuntimeError("a Lidskii route called kostant")
+
+    monkeypatch.setattr(flow, "kostant", no_kostant)
+    monkeypatch.setattr(gt, "kostant", no_kostant, raising=False)
+    lam = (3, 2, 1, 0)
+    net = build_G_lambda(lam).network
+    assert lidskii_volume(net) == gt_volume_lidskii(lam) == gt_volume_product(lam)
+    assert lidskii_points_binomial(net) == gt_points_lidskii(lam) == weyl_dimension(lam)
+    assert flow.lidskii_points_multiset(net) == weyl_dimension(lam)

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+from gtflow import poset
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +170,21 @@ def test_check_minkowski():
     assert check_minkowski(mp, lam, lam, trials=20, seed=2)
     omegas = unit_markings(mp)
     assert check_minkowski(mp, omegas[0], omegas[-1], trials=20, seed=3)
+
+
+def test_check_minkowski_sees_a_missing_vertex(monkeypatch):
+    mp = MarkedPoset.make(DIAMOND, {"bot": 0, "top": 2})
+    lam = {"bot": 0, "top": 2}
+    mu = {"bot": 0, "top": 1}
+    assert check_minkowski(mp, lam, mu)
+    full = poset.enumerate_vertices
+
+    def drop_one_sum_vertex(m):
+        verts = full(m)
+        return verts[1:] if m.marking == {"bot": 0, "top": 3} else verts
+
+    monkeypatch.setattr(poset, "enumerate_vertices", drop_one_sum_vertex)
+    assert not check_minkowski(mp, lam, mu)
 
 
 def test_check_log_concavity_small():
