@@ -70,26 +70,28 @@ def _load_embedding(path: str) -> MarkedEmbedding:
     return MarkedEmbedding.from_json(json.loads(Path(path).read_text()))
 
 
+_GT_METHODS = {
+    "vol": {"product": gt_volume_product, "shsyt": gt_volume_shsyt, "lidskii": gt_volume_lidskii},
+    "points": {
+        "product": weyl_dimension,
+        "lidskii": gt_points_lidskii,
+        "enumerate": lambda lam: len(enumerate_gt_points(lam)),
+    },
+}
+
+
 def cmd_gt(args) -> int:
     lam = as_partition(_parse_ints(args.partition))
-    if args.what == "dim":
-        _emit(str(weyl_dimension(lam)), args.out)
-    elif args.what == "vol":
-        fn = {
-            "product": gt_volume_product,
-            "shsyt": gt_volume_shsyt,
-            "lidskii": gt_volume_lidskii,
-        }[args.method or "product"]
-        _emit(str(fn(lam)), args.out)
-    elif args.what == "points":
+    if args.what in _GT_METHODS:
+        methods = _GT_METHODS[args.what]
         method = args.method or "product"
-        if method == "product":
-            val = weyl_dimension(lam)
-        elif method == "lidskii":
-            val = gt_points_lidskii(lam)
-        else:
-            val = len(enumerate_gt_points(lam))
-        _emit(str(val), args.out)
+        if method not in methods:
+            raise ValueError(f"gt {args.what} has no method {method!r}; choose from {', '.join(methods)}")
+        _emit(str(methods[method](lam)), args.out)
+    elif args.method:
+        raise ValueError(f"gt {args.what} takes no --method")
+    elif args.what == "dim":
+        _emit(str(weyl_dimension(lam)), args.out)
     elif args.what == "bijection":
         pts = enumerate_gt_points(lam)
         flows = [gt_to_flow(lam, p) for p in pts]

@@ -11,7 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from itertools import chain
+from operator import itemgetter, lt
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 Rational = Fraction
 
@@ -94,6 +97,25 @@ def shifted_cells(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _staircase_checks(n: int):
+    """What a side-n staircase tableau is checked against: its row lengths,
+    the list 1..N, and two getters that read from the row-major entry tuple
+    the entries that must be smaller and larger in every row pair
+    (i, j) < (i, j+1) and column pair (i, j) < (i+1, j)."""
+    start = [i * n - i * (i - 1) // 2 for i in range(n + 1)]  # flat index of (i+1, i+1)
+    smaller: list[int] = []
+    larger: list[int] = []
+    for i in range(n):
+        for k in range(n - i - 1):
+            smaller += [start[i] + k, start[i] + k + 1]
+            larger += [start[i] + k + 1, start[i + 1] + k]
+    lengths, values = tuple(range(n, 0, -1)), list(range(1, start[n] + 1))
+    if not smaller:  # n <= 1 has no pairs, and itemgetter needs an index
+        return lengths, values, (lambda flat: ()), (lambda flat: ())
+    return lengths, values, itemgetter(*smaller), itemgetter(*larger)
+
+
 @dataclass(frozen=True)
 class ShiftedTableau:
     """Shifted standard tableau of staircase shape.
@@ -106,12 +128,17 @@ class ShiftedTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        if any(len(self.rows[i]) != n - i for i in range(n)):
+        lengths, values, smaller, larger = _staircase_checks(len(self.rows))
+        if tuple(map(len, self.rows)) != lengths:
             raise ValueError("rows must have staircase lengths n, n-1, ..., 1")
-        vals = sorted(v for row in self.rows for v in row)
-        if vals != list(range(1, n * (n + 1) // 2 + 1)):
+        flat = tuple(chain.from_iterable(self.rows))
+        if sorted(flat) != values:
             raise ValueError("entries must be a permutation of 1..binom(n+1,2)")
+        if not all(map(lt, smaller(flat), larger(flat))):
+            self._raise_first_violation()
+
+    def _raise_first_violation(self) -> None:
+        n = self.n
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 v = self.entry(i, j)
@@ -137,40 +164,62 @@ class ShiftedTableau:
 
 
 @lru_cache(maxsize=None)
+def _sub_staircase_moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Transition table of the lattice of shifted sub-staircases of side n.
+
+    A state is the tuple of row lengths (r_1, ..., r_n) of an order ideal of
+    the staircase: its nonzero parts strictly decrease and r_i <= n - i + 1,
+    so there are 2^n states, numbered from 0 = empty.  moves[s] lists
+    (row index, next state) for every addable cell of s in row-major order:
+    cell (i, i + r_i) is addable when it lies in the staircase and the cell
+    above it, (i - 1, i + r_i), is filled.  Rows start in order, so a move
+    fills a diagonal cell exactly when its row index is the number of
+    nonempty rows of s.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    moves: list[tuple[tuple[int, int], ...]] = []
+
+    def visit(state: tuple[int, ...]) -> int:
+        if state in index:
+            return index[state]
+        s = index[state] = len(moves)
+        moves.append(())
+        moves[s] = tuple(
+            (i, visit(state[:i] + (r + 1,) + state[i + 1 :]))
+            for i, r in enumerate(state)
+            if r < n - i and (i == 0 or state[i - 1] >= r + 2)
+        )
+        return s
+
+    visit((0,) * n)
+    return tuple(moves)
+
+
+@lru_cache(maxsize=None)
 def enumerate_shsyt(n: int) -> tuple[ShiftedTableau, ...]:
     """All shifted standard tableaux of staircase side n, deterministic order.
 
-    Values 1..N are placed in increasing order; at each step the candidate
-    cells (left and upper neighbors already filled) are tried row-major.
+    Values 1..N are placed in increasing order; at each step the addable
+    cells of the filled sub-staircase are tried row-major.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cells = shifted_cells(n)
-    total = len(cells)
-    grid: dict[tuple[int, int], int] = {}
+    moves = _sub_staircase_moves(n)
+    total = n * (n + 1) // 2
+    rows: list[list[int]] = [[] for _ in range(n)]
     out: list[ShiftedTableau] = []
 
-    def placeable(i: int, j: int) -> bool:
-        if j > i and (i, j - 1) not in grid:
-            return False
-        if i > 1 and (i - 1, j) not in grid:
-            return False
-        return True
-
-    def rec(v: int) -> None:
+    def rec(s: int, v: int) -> None:
         if v > total:
-            rows = tuple(
-                tuple(grid[(i, j)] for j in range(i, n + 1)) for i in range(1, n + 1)
-            )
-            out.append(ShiftedTableau(rows))
+            out.append(ShiftedTableau(tuple(map(tuple, rows))))
             return
-        for c in cells:
-            if c not in grid and placeable(*c):
-                grid[c] = v
-                rec(v + 1)
-                del grid[c]
+        for i, t in moves[s]:
+            row = rows[i]
+            row.append(v)
+            rec(t, v + 1)
+            row.pop()
 
-    rec(1)
+    rec(0, 1)
     return tuple(out)
 
 
@@ -193,12 +242,29 @@ def enumerate_shsyt_corner_oracle(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _diagonal_counts(n: int) -> dict[tuple[int, ...], int]:
-    counts: dict[tuple[int, ...], int] = {}
-    for t in enumerate_shsyt(n):
-        d = t.diagonal()
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+def diagonal_counts(n: int) -> Mapping[tuple[int, ...], int]:
+    """{b: number of side-n shSYT with diagonal T(i,i) = i + b_1 + ... + b_{i-1}}
+    over the b with a nonzero count.
+
+    One forward pass over the sub-staircase lattice, keyed by (state,
+    diagonal prefix): filling cell (i, i) with value v appends v to the
+    prefix, so the full staircase's prefix is its diagonal.  No tableau is
+    built.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    moves = _sub_staircase_moves(n)
+    layer: dict[tuple[int, tuple[int, ...]], int] = {(0, ()): 1}
+    for v in range(1, n * (n + 1) // 2 + 1):
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (s, diag), c in layer.items():
+            for i, t in moves[s]:
+                key = (t, diag + (v,) if i == len(diag) else diag)
+                nxt[key] = nxt.get(key, 0) + c
+        layer = nxt
+    return MappingProxyType(
+        {tuple(d[i + 1] - d[i] - 1 for i in range(n - 1)): c for (_, d), c in layer.items()}
+    )
 
 
 def count_N(n: int, b) -> int:
@@ -206,15 +272,7 @@ def count_N(n: int, b) -> int:
     b = as_weak_composition(b)
     if len(b) != n - 1:
         raise ValueError(f"b must have {n - 1} entries, got {len(b)}")
-    diag = []
-    acc = 0
-    for i in range(1, n + 1):
-        diag.append(i + acc)
-        if i <= n - 1:
-            acc += b[i - 1]
-    if diag[-1] > n * (n + 1) // 2:
-        return 0
-    return _diagonal_counts(n).get(tuple(diag), 0)
+    return diagonal_counts(n).get(b, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -155,14 +155,17 @@ class FlowNetwork:
         for key in ("n", "edges", "netflow"):
             if not isinstance(data, dict) or key not in data:
                 raise FlowError(f"network JSON has no {key!r} key")
-        return FlowNetwork.make(
-            data["n"],
-            [tuple(e) for e in data["edges"]],
-            data["netflow"],
-            in_orders=data.get("in_orders"),
-            out_orders=data.get("out_orders"),
-            names=data.get("names"),
-        )
+        try:
+            return FlowNetwork.make(
+                data["n"],
+                [tuple(e) for e in data["edges"]],
+                data["netflow"],
+                in_orders=data.get("in_orders"),
+                out_orders=data.get("out_orders"),
+                names=data.get("names"),
+            )
+        except TypeError as exc:  # a number where a list belongs, or the reverse
+            raise FlowError(f"network JSON has a value of the wrong shape: {exc}") from exc
 
     def to_dot(self) -> str:
         lines = ["digraph flownetwork {", "  rankdir=TB;"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combinat import ShiftedTableau, as_partition, count_N, enumerate_compositions
+from .combinat import ShiftedTableau, as_partition, diagonal_counts
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
 from .poset import MarkedPoset, Poset
 from .transform import BOTTOM, SENTINEL, TOP, Face, MarkedEmbedding
@@ -116,26 +116,21 @@ def gt_volume_product(lam) -> Fraction:
 
 
 def gt_volume_shsyt(lam) -> Fraction:
-    """Volume as a sum of gap powers weighted by shifted-tableau counts."""
+    """Volume as a sum of gap powers weighted by shifted-tableau counts:
+    sum over b of count_N(n, b) * prod_i g_i^b_i / b_i!, over the b with a
+    nonzero count.  Every b sums to M = binom(n, 2), so the sum is taken in
+    ints scaled by M! (M! / prod b_i! is a multinomial) and divided once."""
     lam = as_partition(lam)
     n = len(lam)
-    if n == 1:
-        return Fraction(1)
     gaps = [lam[i] - lam[i + 1] for i in range(n - 1)]
     total = n * (n - 1) // 2
-    vol = Fraction(0)
-    for b in enumerate_compositions(total, n - 1):
-        cnt = count_N(n, b)
-        if cnt == 0:
-            continue
-        term = Fraction(cnt)
+    scaled = 0
+    for b, cnt in diagonal_counts(n).items():
+        term = cnt * math.factorial(total)
         for g, bi in zip(gaps, b):
-            if g == 0 and bi > 0:
-                term = Fraction(0)
-                break
-            term *= Fraction(g) ** bi / math.factorial(bi)
-        vol += term
-    return vol
+            term = term * g**bi // math.factorial(bi)
+        scaled += term
+    return Fraction(scaled, math.factorial(total))
 
 
 # ---------------------------------------------------------------------------

@@ -207,17 +207,22 @@ class MarkedEmbedding:
         for key in ("poset", "faces"):
             if not isinstance(data, dict) or key not in data:
                 raise EmbeddingError(f"embedding JSON has no {key!r} key")
+        if not isinstance(data["faces"], list):
+            raise EmbeddingError("embedding JSON 'faces' must be a list")
         for f in data["faces"]:
             for key in ("left", "right"):
                 if not isinstance(f, dict) or key not in f:
                     raise EmbeddingError(f"embedding face has no {key!r} key")
-        mp = MarkedPoset.from_json(data["poset"])
-        faces = [Face.make(f["left"], f["right"]) for f in data["faces"]]
-        flags = [f.get("flag", "L") for f in data["faces"]]
         hv = data.get("hat_values")
-        if hv is not None:
-            hv = (Fraction(hv[0]), Fraction(hv[1]))
-        return MarkedEmbedding.make(mp, faces, flags, hat_values=hv)
+        if hv is not None and (not isinstance(hv, list) or len(hv) != 2):
+            raise EmbeddingError("embedding JSON 'hat_values' must be a list of two values")
+        try:
+            mp = MarkedPoset.from_json(data["poset"])
+            faces = [Face.make(f["left"], f["right"]) for f in data["faces"]]
+            flags = [f.get("flag", "L") for f in data["faces"]]
+            return MarkedEmbedding.make(mp, faces, flags, hat_values=hv)
+        except TypeError as exc:  # a number where a list belongs, or the reverse
+            raise EmbeddingError(f"embedding JSON has a value of the wrong shape: {exc}") from exc
 
 
 def validate_embedding(me: MarkedEmbedding) -> bool:

@@ -163,3 +163,36 @@ def test_missing_json_keys_give_one_line_and_exit_2(tmp_path, capsys):
     fe.write_text(json.dumps(data))
     assert main(["poset2flow", "--embedding", str(fe)]) == 2
     assert capsys.readouterr().err == "gtflow: embedding JSON has no 'faces' key\n"
+
+
+def test_gt_method_not_offered_gives_one_line_and_exit_2(capsys):
+    assert main(["gt", "vol", "2,1,0", "--method", "enumerate"]) == 2
+    assert capsys.readouterr().err == (
+        "gtflow: gt vol has no method 'enumerate'; choose from product, shsyt, lidskii\n"
+    )
+    assert main(["gt", "points", "2,1,0", "--method", "shsyt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gtflow: gt points has no method 'shsyt'; choose from product, lidskii, enumerate\n"
+    assert main(["gt", "dim", "2,1,0", "--method", "lidskii"]) == 2
+    assert capsys.readouterr().err == "gtflow: gt dim takes no --method\n"
+
+
+def test_json_values_of_the_wrong_shape_give_one_line_and_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.network.json"
+    f.write_text(json.dumps({"n": 2, "edges": [5], "netflow": [1, -1]}))
+    assert main(["kostant", "--network", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gtflow: network JSON has a value of the wrong shape") and err.count("\n") == 1
+    data = gt_embedding((2, 1, 0)).to_json()
+    data["hat_values"] = ["0"]
+    fe = tmp_path / "hat.embedding.json"
+    fe.write_text(json.dumps(data))
+    assert main(["poset2flow", "--embedding", str(fe)]) == 2
+    assert capsys.readouterr().err == "gtflow: embedding JSON 'hat_values' must be a list of two values\n"
+    data = gt_embedding((2, 1, 0)).to_json()
+    data["faces"][0]["left"] = 5
+    fe.write_text(json.dumps(data))
+    assert main(["poset2flow", "--embedding", str(fe)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gtflow: embedding JSON has a value of the wrong shape") and err.count("\n") == 1

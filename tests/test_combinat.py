@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtflow import combinat, gt
 from gtflow.combinat import (
     ShiftedTableau,
     binomial,
@@ -86,11 +88,84 @@ def test_enumerate_shsyt_against_corner_oracle(n):
     assert len(enumerate_shsyt(n)) == enumerate_shsyt_corner_oracle(n)
 
 
+def cell_scan_shsyt(n):
+    """The staircase shSYT by trying every cell at every step, row-major."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    grid = {}
+    out = []
+
+    def rec(v):
+        if v > len(cells):
+            out.append(tuple(tuple(grid[(i, j)] for j in range(i, n + 1)) for i in range(1, n + 1)))
+            return
+        for (i, j) in cells:
+            if (i, j) in grid or (j > i and (i, j - 1) not in grid) or (i > 1 and (i - 1, j) not in grid):
+                continue
+            grid[(i, j)] = v
+            rec(v + 1)
+            del grid[(i, j)]
+
+    rec(1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_shsyt_matches_cell_scan_in_order(n):
+    assert [t.rows for t in enumerate_shsyt(n)] == cell_scan_shsyt(n)
+
+
 def test_shifted_tableau_invariants_rejected():
     with pytest.raises(ValueError):
         ShiftedTableau(((2, 1), (3,)))
     with pytest.raises(ValueError):
         ShiftedTableau(((1, 3), (2,)))
+    rejected = [
+        (((1, 2, 4), (3, 5), (6, 7)), "rows must have staircase lengths"),
+        (((1, 2, 4), (3, 5)), "rows must have staircase lengths"),
+        (((1, 2, 4), (3, 5), (5,)), "must be a permutation"),
+        (((1, 2, 4), (3, 5), (7,)), "must be a permutation"),
+        (((1, 2, 3), (5, 4), (6,)), r"row violation at \(2,2\)"),
+        (((1, 2, 4), (3, 6), (5,)), r"column violation at \(2,3\)"),
+        (((1, 4, 2), (3, 5), (6,)), r"row violation at \(1,2\)"),
+        (((1, 2, 5), (3, 4), (6,)), r"column violation at \(1,3\)"),
+    ]
+    for rows, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            ShiftedTableau(rows)
+    ShiftedTableau(((1, 2, 4), (3, 5), (6,)))
+
+
+def test_counts_and_shsyt_volume_never_enumerate(monkeypatch):
+    def refuse(n):
+        raise AssertionError("enumerate_shsyt called")
+
+    monkeypatch.setattr(combinat, "enumerate_shsyt", refuse)
+    combinat.diagonal_counts.cache_clear()
+    assert count_N(3, (2, 1)) == 1
+    assert sum(combinat.diagonal_counts(5).values()) == 286
+    for lam in [(4, 3, 2, 1, 0), (5, 4, 3, 2, 1, 0), (7, 4, 4, 2, 1, 0)]:
+        assert gt.gt_volume_shsyt(lam) == gt.gt_volume_product(lam)
+
+
+def thrall_count(n):
+    """N! prod_{k<n} k!/(2k+1)!: the shifted staircase's standard tableaux."""
+    num = math.factorial(n * (n + 1) // 2)
+    den = 1
+    for k in range(n):
+        num *= math.factorial(k)
+        den *= math.factorial(2 * k + 1)
+    return num // den
+
+
+def test_count_N_at_n7_sums_to_thrall_count():
+    assert thrall_count(7) == 23178480
+    summed = sum(count_N(7, b) for b in enumerate_compositions(7 * 8 // 2 - 7, 6))
+    assert summed == thrall_count(7)
+
+
+@pytest.mark.parametrize("lam", [(6, 5, 4, 3, 2, 1, 0), (9, 7, 4, 3, 3, 1, 0), (3, 3, 3, 2, 0, 0, 0)])
+def test_gt_volume_shsyt_at_n7_equals_product(lam):
+    assert gt.gt_volume_shsyt(lam) == gt.gt_volume_product(lam)
 
 
 def test_count_N_small():
