@@ -195,9 +195,9 @@ def _sub_staircase_moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(moves)
 
 
-@lru_cache(maxsize=None)
-def enumerate_shsyt(n: int) -> tuple[ShiftedTableau, ...]:
-    """All shifted standard tableaux of staircase side n, deterministic order.
+def walk_shsyt(n: int, emit) -> None:
+    """Call emit(T) for every shifted standard tableau T of staircase side n,
+    one at a time: nothing is held after emit returns.
 
     Values 1..N are placed in increasing order; at each step the addable
     cells of the filled sub-staircase are tried row-major.
@@ -207,11 +207,10 @@ def enumerate_shsyt(n: int) -> tuple[ShiftedTableau, ...]:
     moves = _sub_staircase_moves(n)
     total = n * (n + 1) // 2
     rows: list[list[int]] = [[] for _ in range(n)]
-    out: list[ShiftedTableau] = []
 
     def rec(s: int, v: int) -> None:
         if v > total:
-            out.append(ShiftedTableau(tuple(map(tuple, rows))))
+            emit(ShiftedTableau(tuple(map(tuple, rows))))
             return
         for i, t in moves[s]:
             row = rows[i]
@@ -220,6 +219,13 @@ def enumerate_shsyt(n: int) -> tuple[ShiftedTableau, ...]:
             row.pop()
 
     rec(0, 1)
+
+
+@lru_cache(maxsize=None)
+def enumerate_shsyt(n: int) -> tuple[ShiftedTableau, ...]:
+    """All shifted standard tableaux of staircase side n, in walk_shsyt's order."""
+    out: list[ShiftedTableau] = []
+    walk_shsyt(n, out.append)
     return tuple(out)
 
 

@@ -10,8 +10,12 @@ edge-indexed vectors; conservation at v reads inflow + netflow = outflow.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import chain
 
 from .combinat import binomial, enumerate_compositions, multiset_binomial
 
@@ -52,29 +56,34 @@ class FlowNetwork:
             raise FlowError("netflow length must equal num_vertices")
         if sum(self.netflow) != 0:
             raise FlowError("netflow must sum to zero")
-        for orders, proj in ((self.in_orders, 1), (self.out_orders, 0)):
+        for orders, side in ((self.in_orders, 0), (self.out_orders, 1)):
             if orders is None:
                 continue
             if len(orders) != n:
                 raise FlowError("edge orderings must cover every vertex")
             for v in range(n):
-                expect = sorted(i for i, e in enumerate(self.edges) if e[proj] == v)
-                if sorted(orders[v]) != expect:
+                if sorted(orders[v]) != list(self._edge_lists[side][v]):
                     raise FlowError(f"edge ordering at vertex {v} is not a permutation")
         if self.names is not None and len(self.names) != n:
             raise FlowError("names must cover every vertex")
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def _edge_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Per vertex, its in- and out-edge indices in list order; not a field."""
+        ins: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        outs: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for i, (u, v) in enumerate(self.edges):
+            ins[v].append(i)
+            outs[u].append(i)
+        return tuple(map(tuple, ins)), tuple(map(tuple, outs))
+
     def in_edges(self, v: int) -> tuple[int, ...]:
-        if self.in_orders is not None:
-            return self.in_orders[v]
-        return tuple(i for i, (a, b) in enumerate(self.edges) if b == v)
+        return (self._edge_lists[0] if self.in_orders is None else self.in_orders)[v]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
-        if self.out_orders is not None:
-            return self.out_orders[v]
-        return tuple(i for i, (a, b) in enumerate(self.edges) if a == v)
+        return (self._edge_lists[1] if self.out_orders is None else self.out_orders)[v]
 
     def indeg(self, v: int) -> int:
         return len(self.in_edges(v))
@@ -218,60 +227,99 @@ def enumerate_integer_flows(g: FlowNetwork, b=None) -> list[tuple[int, ...]]:
     return flows
 
 
-def _targets(g: FlowNetwork) -> list[list[tuple[int, int]]]:
+def _targets(g: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per vertex v, the sorted (w, multiplicity of edges v -> w) pairs."""
-    targets: list[list[tuple[int, int]]] = []
+    targets = []
     for v in range(g.num_vertices):
         mult: dict[int, int] = {}
         for i in g.out_edges(v):
             w = g.edges[i][1]
             mult[w] = mult.get(w, 0) + 1
-        targets.append(sorted(mult.items()))
-    return targets
+        targets.append(tuple(sorted(mult.items())))
+    return tuple(targets)
 
 
-def _distribute(nxt: dict, state: tuple, v: int, supply: int, tv, count: int) -> None:
-    """Add count times every way of sending `supply` out of v along the edge
-    groups tv into nxt, keyed by the state with v cleared."""
-    if not tv:
-        if supply == 0:
-            key = state[:v] + (0,) + state[v + 1 :]
-            nxt[key] = nxt.get(key, 0) + count
-        return
-    for comp in enumerate_compositions(supply, len(tv)):
-        ways = count
-        new = list(state)
-        new[v] = 0
-        for (w, m), amount in zip(tv, comp):
-            ways *= math.comb(amount + m - 1, m - 1)
-            new[w] += amount
-        key = tuple(new)
-        nxt[key] = nxt.get(key, 0) + ways
+@lru_cache(maxsize=1024)  # one network often gets many DPs: the Lidskii routes, netflow loops
+def _narrow_order(targets) -> tuple[int, ...]:
+    """A topological order of the vertices of `targets` that keeps the
+    frontier (unvisited vertices with a visited in-neighbour) narrow: each
+    step visits the available vertex whose visit leaves the fewest frontier
+    vertices, the smaller index on ties."""
+    succ = [{w for w, _ in tv} for tv in targets]
+    waiting = Counter(chain.from_iterable(succ))  # unvisited in-neighbours
+    available = {v for v in range(len(targets)) if not waiting[v]}
+    frontier, order = set(), []
+    while available:
+        v = min(available, key=lambda u: (len(frontier | succ[u]) - (u in frontier), u))
+        available.remove(v)
+        order.append(v)
+        frontier = (frontier | succ[v]) - {v}
+        for w in succ[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                available.add(w)
+    return tuple(order)
+
+
+def _frontier_dp(targets, b, draw) -> int:
+    """Sum, over draws j and integer flows with netflow b + j, of the product
+    of the draws' weights; v sends flow along its edge groups targets[v].
+
+    Vertices are visited in _narrow_order; a state holds the flow committed
+    to each frontier vertex.  At v, draw(v, need, drawn) returns the
+    (j_v, weight) pairs to take, j_v >= need keeping v's supply nonnegative;
+    drawn, the j-mass of the visited vertices, is the frontier's flow minus
+    their b.  m parallel edges carry an amount a in comb(a + m - 1, m - 1)
+    ways; each step splits a supply value once.
+    """
+    frontier: tuple[int, ...] = ()
+    states: dict[tuple[int, ...], int] = {(): 1}
+    b_visited = 0
+    for v in _narrow_order(targets):
+        tv = targets[v]
+        k = len(frontier)
+        p = frontier.index(v) if v in frontier else k
+        rest = frontier[:p] + frontier[p + 1 :]
+        frontier = rest + tuple(w for w, _ in tv if w not in rest)
+        pad = (0,) * (len(frontier) - len(rest))
+        pos = [frontier.index(w) for w, _ in tv]
+        drawn: dict[tuple[tuple[int, ...], int], int] = {}
+        for state, count in states.items():
+            supply = (state[p] if p < k else 0) + b[v]
+            base = state[:p] + state[p + 1 :] + pad
+            for jv, weight in draw(v, -supply, sum(state) - b_visited):
+                key = (base, supply + jv)
+                drawn[key] = drawn.get(key, 0) + count * weight
+        b_visited += b[v]
+        splits: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        states = {}
+        for (base, supply), count in drawn.items():
+            if supply not in splits:
+                splits[supply] = []
+                for comp in enumerate_compositions(supply, len(tv)):
+                    add, ways = [0] * len(frontier), 1
+                    for (_, m), i, amount in zip(tv, pos, comp):
+                        add[i] = amount
+                        ways *= math.comb(amount + m - 1, m - 1)
+                    splits[supply].append((tuple(add), ways))
+            for add, ways in splits[supply]:
+                key = tuple(map(operator.add, base, add))
+                states[key] = states.get(key, 0) + count * ways
+    return states.get((), 0)
 
 
 def kostant(g: FlowNetwork, b=None) -> int:
     """K_G(b): number of integer flows with netflow b.
 
-    Dynamic program over vertices in index order; a state records the flow
-    already committed to each not-yet-processed vertex.  Independent of the
-    brute-force enumeration above, which serves as its oracle in tests.
+    One _frontier_dp pass with no draw, keyed by the frontier's flow only.
+    Independent of the brute-force enumeration above, its oracle in tests.
     """
     b = g.netflow if b is None else tuple(int(x) for x in b)
     if len(b) != g.num_vertices:
         raise FlowError("netflow vector has wrong length")
     if sum(b) != 0:
         return 0
-    n = g.num_vertices
-    targets = _targets(g)
-    states: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    for v in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, count in states.items():
-            supply = state[v] + b[v]
-            if supply >= 0:
-                _distribute(nxt, state, v, supply, targets[v], count)
-        states = nxt
-    return states.get((0,) * n, 0)
+    return _frontier_dp(_targets(g), b, lambda v, need, drawn: () if need > 0 else ((0, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -292,35 +340,23 @@ def check_lidskii_preconditions(g: FlowNetwork) -> None:
 def _weighted_kostant(g: FlowNetwork, weight) -> int:
     """Sum over weak compositions j of total = dim G = m - n + 1 of
     prod_v weight(v, j_v, rem_v) * K_G(j - out, 0), where out_v = outdeg - 1
-    and rem_v = total - j_0 - ... - j_{v-1} is the j-mass still unassigned.
+    and rem_v is the j-mass still unassigned when v draws j_v.
 
-    One Kostant DP in which vertex v also draws its own netflow term j_v.  The
-    mass drawn before v is read off the state (the flow committed to later
-    vertices plus out_0 + ... + out_{v-1}), so no extra coordinate is needed.
-    A j that fails dominance over out leaves a negative supply at some prefix
-    and dies; the sink takes netflow 0, so its in-edges carry nothing.
+    One _frontier_dp pass in which v draws j_v on top of b_v = -out_v; rem_v
+    is read off the state.  Vertices are not visited in index order, so a
+    weight reading rem_v must multiply out to an order-free product, as
+    comb(rem_v, j_v) does (total! / prod_v j_v!).  The sink takes netflow 0,
+    so its in-edges carry nothing and it is left out of the pass.
     """
-    n = g.num_vertices
     total = g.dimension()
-    sink = n - 1
-    targets = [[(w, m) for w, m in tv if w != sink] for tv in _targets(g)]
-    states: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    out_before = 0
-    for v in range(n - 1):
-        out_v = g.out_shift(v)
-        drawn: dict[tuple[int, ...], int] = {}
-        for state, count in states.items():
-            rem = total - out_before - sum(state[v:])
-            for jv in range(max(0, out_v - state[v]), rem + 1):
-                w = weight(v, jv, rem)
-                if w:
-                    key = state[:v] + (state[v] + jv - out_v,) + state[v + 1 :]
-                    drawn[key] = drawn.get(key, 0) + count * w
-        states = {}
-        for state, count in drawn.items():
-            _distribute(states, state, v, state[v], targets[v], count)
-        out_before += out_v
-    return states.get((0,) * n, 0)
+    sink = g.num_vertices - 1
+    targets = tuple(tuple((w, m) for w, m in tv if w != sink) for tv in _targets(g)[:sink])
+
+    def draw(v, need, drawn):
+        rem = total - drawn
+        return [(jv, w) for jv in range(max(0, need), rem + 1) if (w := weight(v, jv, rem))]
+
+    return _frontier_dp(targets, [-g.out_shift(v) for v in range(sink)], draw)
 
 
 def lidskii_volume(g: FlowNetwork) -> Fraction:

@@ -147,6 +147,20 @@ def test_counts_and_shsyt_volume_never_enumerate(monkeypatch):
         assert gt.gt_volume_shsyt(lam) == gt.gt_volume_product(lam)
 
 
+def test_tableau_roundtrip_streams_without_enumerate_shsyt(monkeypatch):
+    from gtflow import verify
+
+    expected = verify.verify_bijection(4)
+    assert all(r["pass"] for r in expected)
+
+    def refuse(n):
+        raise AssertionError("enumerate_shsyt called")
+
+    monkeypatch.setattr(combinat, "enumerate_shsyt", refuse)
+    monkeypatch.setattr(verify, "enumerate_shsyt", refuse, raising=False)
+    assert verify.verify_bijection(4) == expected
+
+
 def thrall_count(n):
     """N! prod_{k<n} k!/(2k+1)!: the shifted staircase's standard tableaux."""
     num = math.factorial(n * (n + 1) // 2)

@@ -11,6 +11,9 @@ from gtflow.combinat import finite_difference
 from gtflow.flow import (
     FlowError,
     FlowNetwork,
+    _narrow_order,
+    _targets,
+    check_lidskii_preconditions,
     enumerate_integer_flows,
     kostant,
     leaf_volume,
@@ -31,6 +34,25 @@ def test_network_validation():
         FlowNetwork.make(3, [(0, 1), (1, 2)], (1, 0, 0))
     assert not FlowNetwork.make(4, [(0, 1), (2, 3)], (0, 0, 0, 0)).is_connected()
     assert TRIANGLE.is_connected()
+    edges, b = [(0, 1), (1, 2), (0, 2)], (1, 0, -1)
+    with pytest.raises(FlowError, match="edge orderings must cover every vertex"):
+        FlowNetwork.make(3, edges, b, in_orders=[(), (0,)])
+    with pytest.raises(FlowError, match="edge ordering at vertex 2 is not a permutation"):
+        FlowNetwork.make(3, edges, b, in_orders=[(), (0,), (1,)])
+    with pytest.raises(FlowError, match="edge ordering at vertex 0 is not a permutation"):
+        FlowNetwork.make(3, edges, b, out_orders=[(0, 1), (1,), ()])
+
+
+def test_edge_lists_leave_equality_and_hash_alone():
+    g = FlowNetwork.make(3, [(0, 2), (0, 1), (1, 2), (0, 2)], (2, 0, -2))
+    h = FlowNetwork.make(3, [(0, 2), (0, 1), (1, 2), (0, 2)], (2, 0, -2))
+    assert g.out_edges(0) == (0, 1, 3) and g.in_edges(2) == (0, 2, 3) and g.in_edges(0) == ()
+    assert g == h and hash(g) == hash(h)
+    ordered = FlowNetwork.make(
+        3, g.edges, g.netflow, [(), (1,), (3, 2, 0)], [(3, 1, 0), (2,), ()]
+    )
+    assert ordered.in_edges(2) == (3, 2, 0) and ordered.out_edges(0) == (3, 1, 0)
+    assert ordered != g
 
 
 def test_enumerate_flows_examples():
@@ -227,3 +249,44 @@ def test_kostant_matches_enumeration_on_random_networks(data):
     netflow.append(-sum(netflow))
     g = FlowNetwork.make(n, edges, netflow)
     assert kostant(g) == len(enumerate_integer_flows(g))
+
+
+@st.composite
+def free_networks(draw):
+    """Networks on 1..7 vertices with no forced path, so a topological order
+    other than index order is common: multi-edges, several sinks, isolated
+    vertices and, unless drawn Lidskii-admissible, negative interior netflow.
+    An admissible draw gives every vertex but the last an out-edge (which
+    also connects it) and netflow >= 0."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
+    if draw(st.booleans()):
+        for v in range(n - 1):
+            if all(u != v for u, _ in edges):
+                edges.append((v, draw(st.integers(min_value=v + 1, max_value=n - 1))))
+        a = [draw(st.integers(min_value=0, max_value=2)) for _ in range(n - 1)]
+    else:
+        a = [draw(st.integers(min_value=-2, max_value=2)) for _ in range(n - 1)]
+    return FlowNetwork.make(n, edges, a + [-sum(a)])
+
+
+@given(free_networks())
+@settings(deadline=None, max_examples=120, derandomize=True)
+def test_kostant_and_lidskii_on_networks_without_a_forced_path(g):
+    order = _narrow_order(_targets(g))
+    assert sorted(order) == list(range(g.num_vertices))
+    place = {v: k for k, v in enumerate(order)}
+    assert all(place[u] < place[v] for u, v in g.edges)
+    pts = len(enumerate_integer_flows(g))
+    assert kostant(g) == pts
+    try:
+        check_lidskii_preconditions(g)
+    except FlowError:
+        return
+    assert lidskii_points_binomial(g) == lidskii_points_multiset(g) == pts
+    dim = g.dimension()
+    counts = [
+        len(enumerate_integer_flows(g, tuple(t * x for x in g.netflow))) for t in range(dim + 1)
+    ]
+    assert lidskii_volume(g) == Fraction(finite_difference(counts), math.factorial(dim))

@@ -171,6 +171,15 @@ def test_gt_lidskii_against_flow_module():
     assert lidskii_points_multiset(build_G_lambda((1, 0)).network) == 2
 
 
+def test_kostant_dps_reach_n7():
+    # 10 460 353 203 flows; the index-order DPs took 14-22 s on each of these
+    lam = (12, 10, 8, 6, 4, 2, 0)
+    g = build_G_lambda(lam).network
+    assert kostant(g) == lidskii_points_binomial(g) == weyl_dimension(lam)
+    lam = (6, 5, 4, 3, 2, 1, 0)
+    assert lidskii_volume(build_G_lambda(lam).network) == gt_volume_product(lam)
+
+
 def test_lidskii_routes_run_no_kostant_dp(monkeypatch):
     # every Lidskii sum is one weighted DP, not a Kostant DP per composition
     def no_kostant(*args):
