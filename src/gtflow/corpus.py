@@ -227,10 +227,7 @@ def single_sink_embeddings() -> list[tuple[str, MarkedEmbedding]]:
     for name, me in embeddings():
         if any(f != "L" for f in me.flags):
             continue
-        try:
-            dn = build_G_PAlambda(me)
-        except Exception:
-            continue
+        dn = build_G_PAlambda(me)
         net, vmap, _ = simplify(dn.network)
         sinks = [v for v in range(net.num_vertices) if net.netflow[v] < 0]
         srcs = [v for v in vmap if dn.vertex_keys[v][0] == "src"]

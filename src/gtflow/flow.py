@@ -98,10 +98,6 @@ class FlowNetwork:
     def in_shift(self, v: int) -> int:
         return self.indeg(v) - 1
 
-    def degree_profile(self) -> tuple[tuple[int, int], ...]:
-        """(out_v, in_v) = (outdegree-1, indegree-1) per vertex."""
-        return tuple((self.out_shift(v), self.in_shift(v)) for v in range(self.num_vertices))
-
     def dimension(self) -> int:
         return len(self.edges) - (self.num_vertices - 1)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .combinat import ShiftedTableau, as_partition, diagonal_counts
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
@@ -50,10 +50,6 @@ class GTPattern:
 
     def top_row(self) -> tuple[int, ...]:
         return self.rows[0]
-
-    def as_dict(self) -> dict[str, int]:
-        n = self.n
-        return {cell_id(i, j): self.entry(i, j) for i in range(1, n + 1) for j in range(i, n + 1)}
 
 
 def enumerate_gt_points(lam) -> list[GTPattern]:
@@ -203,6 +199,13 @@ def build_G_lambda(lam) -> GTNetwork:
     return GTNetwork(n, g, tuple(cells), tuple(labels))
 
 
+@lru_cache(maxsize=None)
+def _zero_G_lambda(n: int) -> GTNetwork:
+    """build_G_lambda((0,) * n), built once per n: the tableau bijections
+    read it at every level of their recursion."""
+    return build_G_lambda((0,) * n)
+
+
 def shifted_netflow(n: int, b) -> tuple[int, ...]:
     """(b_1-1, ..., b_{n-1}-1, -1, ..., -1, 0, ..., 0, 0) in canonical order."""
     b = tuple(int(x) for x in b)
@@ -288,7 +291,7 @@ def shsyt_to_flow(t: ShiftedTableau) -> tuple[int, ...]:
     n = t.n
     if n == 1:
         return ()
-    gtn = build_G_lambda((0,) * n)
+    gtn = _zero_G_lambda(n)
     values = [0] * len(gtn.network.edges)
     all_cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     for r in range(2, n + 1):
@@ -320,7 +323,7 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
     """Tableau from a flow on G_lambda(n) with a diagonal-shifted netflow, by the
     inductive peeling of the source row."""
     flow = tuple(flow)
-    gtn = build_G_lambda((0,) * n)
+    gtn = _zero_G_lambda(n)
     if len(flow) != len(gtn.network.edges):
         raise ValueError("flow has the wrong number of edges")
     if any(v < 0 for v in flow):
@@ -340,7 +343,7 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
     if n == 1:
         return ShiftedTableau(((1,),))
     # restrict to the subnetwork on rows >= 3, relabelled down by one
-    sub = build_G_lambda((0,) * (n - 1))
+    sub = _zero_G_lambda(n - 1)
     subflow = [0] * len(sub.network.edges)
     for lab, k in sub.edge_index.items():
         if lab[0] == "a":

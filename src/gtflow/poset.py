@@ -12,6 +12,7 @@ ties broken so that larger poset elements come first.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import random
@@ -46,52 +47,41 @@ class Poset:
         return Poset(els, cvs)
 
     def __post_init__(self):
-        els = set(self.elements)
+        # one pass builds the index every query reads: sorted cover tuples
+        # per element (duplicates kept), the topological order (Kahn's
+        # algorithm, smallest available element first) and the
+        # strictly-below sets, unioned along that order
+        ups: dict[str, list[str]] = {e: [] for e in self.elements}
+        downs: dict[str, list[str]] = {e: [] for e in self.elements}
         for p, q in self.covers:
-            if p not in els or q not in els:
+            if p not in ups or q not in ups:
                 raise PosetError(f"cover ({p},{q}) references unknown element")
             if p == q:
                 raise PosetError(f"loop at {p}")
-        # strictly-below sets; also detects cycles
-        below: dict[str, set[str]] = {e: set() for e in self.elements}
-        order = self._topo_order()
-        for e in order:
-            for p, q in self.covers:
-                if q == e:
-                    below[e].add(p)
-                    below[e] |= below[p]
-            if e in below[e]:
-                raise PosetError("cover relation has a cycle")
-        object.__setattr__(self, "_below", below)
-        for p, q in self.covers:
-            if any(p in below[z] and z in below[q] for z in self.elements):
-                raise PosetError(f"redundant cover ({p},{q})")
-
-    def _topo_order(self) -> tuple[str, ...]:
-        indeg = {e: 0 for e in self.elements}
-        for p, q in self.covers:
-            indeg[q] += 1
+            ups[p].append(q)
+            downs[q].append(p)
+        indeg = {e: len(d) for e, d in downs.items()}
         avail = sorted(e for e, d in indeg.items() if d == 0)
-        out = []
-        seen = set()
+        order = []
         while avail:
-            e = avail.pop(0)
-            out.append(e)
-            seen.add(e)
-            fresh = []
-            for p, q in self.covers:
-                if p == e:
-                    indeg[q] -= 1
-                    if indeg[q] == 0:
-                        fresh.append(q)
-            avail = sorted(set(avail) | set(fresh))
-        if len(out) != len(self.elements):
+            e = heapq.heappop(avail)
+            order.append(e)
+            for q in ups[e]:
+                indeg[q] -= 1
+                if indeg[q] == 0:
+                    heapq.heappush(avail, q)
+        if len(order) != len(self.elements):
             raise PosetError("cover relation has a cycle")
-        return tuple(out)
-
-    @cached_property
-    def topo_order(self) -> tuple[str, ...]:
-        return self._topo_order()
+        below: dict[str, set[str]] = {}
+        for e in order:
+            below[e] = set(downs[e]).union(*(below[d] for d in downs[e]))
+        for p, q in self.covers:
+            if any(p in below[d] for d in downs[q]):
+                raise PosetError(f"redundant cover ({p},{q})")
+        object.__setattr__(self, "topo_order", tuple(order))
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_ups", {e: tuple(sorted(u)) for e, u in ups.items()})
+        object.__setattr__(self, "_downs", {e: tuple(sorted(d)) for e, d in downs.items()})
 
     def lt(self, p: str, q: str) -> bool:
         return p in self._below[q]
@@ -102,26 +92,17 @@ class Poset:
     def comparable(self, p: str, q: str) -> bool:
         return p == q or self.lt(p, q) or self.lt(q, p)
 
-    def strictly_below(self, q: str) -> frozenset:
-        return frozenset(self._below[q])
-
     def up_covers(self, p: str) -> tuple[str, ...]:
-        return tuple(sorted(q for a, q in self.covers if a == p))
+        return self._ups[p]
 
     def down_covers(self, q: str) -> tuple[str, ...]:
-        return tuple(sorted(p for p, b in self.covers if b == q))
+        return self._downs[q]
 
     def maximal_elements(self) -> tuple[str, ...]:
-        tops = {e for e in self.elements}
-        for p, q in self.covers:
-            tops.discard(p)
-        return tuple(sorted(tops))
+        return tuple(sorted(e for e, u in self._ups.items() if not u))
 
     def minimal_elements(self) -> tuple[str, ...]:
-        bots = {e for e in self.elements}
-        for p, q in self.covers:
-            bots.discard(q)
-        return tuple(sorted(bots))
+        return tuple(sorted(e for e, d in self._downs.items() if not d))
 
     def linear_extensions(self, position_filter=None):
         """Yield order-reversing listings (maximal elements first).
@@ -309,9 +290,9 @@ def validate_marked_poset(mp: MarkedPoset) -> bool:
         return False
 
 
-def make_order_polytope_mp(p: Poset, bot=Fraction(0), top=Fraction(1)) -> MarkedPoset:
-    """Hat-extended marked poset whose marked order polytope is the order
-    polytope of p (dilated to [bot, top])."""
+def hat_poset(p: Poset) -> Poset:
+    """p extended by 0hat below its minimal and 1hat above its maximal
+    elements (0hat < 1hat if p is empty)."""
     if BOTTOM in p.elements or TOP in p.elements:
         raise PosetError(f"element ids {BOTTOM}/{TOP} are reserved")
     covers = list(p.covers)
@@ -319,8 +300,13 @@ def make_order_polytope_mp(p: Poset, bot=Fraction(0), top=Fraction(1)) -> Marked
     covers += [(e, TOP) for e in p.maximal_elements()]
     if not p.elements:
         covers = [(BOTTOM, TOP)]
-    hat = Poset.from_covers(p.elements + (BOTTOM, TOP), covers)
-    return MarkedPoset.make(hat, {BOTTOM: bot, TOP: top})
+    return Poset.from_covers(p.elements + (BOTTOM, TOP), covers)
+
+
+def make_order_polytope_mp(p: Poset, bot=Fraction(0), top=Fraction(1)) -> MarkedPoset:
+    """Hat-extended marked poset whose marked order polytope is the order
+    polytope of p (dilated to [bot, top])."""
+    return MarkedPoset.make(hat_poset(p), {BOTTOM: bot, TOP: top})
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +325,7 @@ def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
     marks = {a: int(v) for a, v in lam.items()}
     upper: dict[str, int] = {}
     for e in reversed(order):
-        cands = [marks[e]] if e in marks else []
-        cands += [upper[q] for q in p.up_covers(e)]
-        upper[e] = min(cands) if cands else 0
-    # down_covers scans every cover: once per element, not once per search node
-    downs = [p.down_covers(e) for e in order]
+        upper[e] = marks[e] if e in marks else min(upper[q] for q in p.up_covers(e))
     points: list[dict[str, int]] = []
     vals: dict[str, int] = {}
 
@@ -352,7 +334,7 @@ def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
             points.append(dict(vals))
             return
         e = order[idx]
-        lo = max((vals[d] for d in downs[idx]), default=None)
+        lo = max((vals[d] for d in p.down_covers(e)), default=None)
         if e in marks:
             v = marks[e]
             if lo is not None and lo > v:
@@ -361,7 +343,7 @@ def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
             rec(idx + 1)
             del vals[e]
             return
-        lo = lo if lo is not None else _unmarked_floor(mp, e)
+        # validate() marks every extremal element, so e has a down cover
         for v in range(lo, upper[e] + 1):
             vals[e] = v
             rec(idx + 1)
@@ -369,15 +351,6 @@ def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
 
     rec(0)
     return points
-
-
-def _unmarked_floor(mp: MarkedPoset, e: str) -> int:
-    # unmarked minimal elements cannot occur (A contains all extremals)
-    lam = mp.marking
-    lows = [int(lam[a]) for a in lam if mp.poset.leq(a, e)]
-    if not lows:
-        raise PosetError(f"element {e} has no marked element below it")
-    return max(lows)
 
 
 def point_feasible(mp: MarkedPoset, x: dict) -> bool:

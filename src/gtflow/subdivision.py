@@ -607,7 +607,6 @@ def full_subdivision_check(
     """
     if any(f != "L" for f in me.flags):
         raise EmbeddingError("full subdivision check supports left-flagged embeddings")
-    me.validate()
     root, dn = _simplified_dual_state(me)
     plan = _reduction_order(root) if face_order is None else list(face_order)
     if sorted(plan) != sorted(_reduction_order(root)):
@@ -666,7 +665,6 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     1, 2+a_1, ..., k+a_1+...+a_{k-1}."""
     if any(f != "L" for f in me.flags):
         raise EmbeddingError("the extension bijection runs on left-flagged embeddings")
-    me.validate()
     root, _ = _simplified_dual_state(me)
     net = root.network
     sinks = [v for v in range(net.num_vertices) if net.netflow[v] < 0]

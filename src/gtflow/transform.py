@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .flow import FlowError, FlowNetwork
-from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, point_feasible
+from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, hat_poset, point_feasible
 
 SENTINEL = (TOP, BOTTOM)
 
@@ -92,13 +92,7 @@ class MarkedEmbedding:
 
     @cached_property
     def hat_poset(self) -> Poset:
-        p = self.mp.poset
-        if BOTTOM in p.elements or TOP in p.elements:
-            raise EmbeddingError(f"element ids {BOTTOM}/{TOP} are reserved")
-        covers = list(p.covers)
-        covers += [(BOTTOM, e) for e in p.minimal_elements()]
-        covers += [(e, TOP) for e in p.maximal_elements()]
-        return Poset.from_covers(p.elements + (BOTTOM, TOP), covers)
+        return hat_poset(self.mp.poset)
 
     @cached_property
     def extended_marking(self) -> dict[str, Fraction]:
@@ -187,9 +181,6 @@ class MarkedEmbedding:
                 if any(vals[t] < vals[t + 1] for t in range(len(vals) - 1)):
                     raise EmbeddingError("marking not descending along a boundary chain")
 
-    def sink_count(self) -> int:
-        return sum(1 for k in build_G_PAlambda(self).vertex_keys if k[0] in ("sink", "rsink"))
-
     def to_json(self) -> dict:
         d = {
             "poset": self.mp.to_json(),
@@ -271,12 +262,6 @@ class DualNetwork:
         """The extended marking at (0hat, 1hat), ints where integral."""
         lamhat = self.embedding.extended_marking
         return tuple(int(v) if v.denominator == 1 else v for v in (lamhat[BOTTOM], lamhat[TOP]))
-
-    def gap_sources(self) -> tuple[int, ...]:
-        """Indices of gap-source vertices, in vertex order."""
-        return tuple(
-            i for i, k in enumerate(self.vertex_keys) if k[0] == "src"
-        )
 
 
 def _gap_of(chain_positions, marked_positions, cover_pos):

@@ -13,6 +13,8 @@ from fractions import Fraction
 from . import corpus
 from .combinat import count_N, enumerate_compositions, finite_difference, walk_shsyt
 from .flow import (
+    FlowError,
+    check_lidskii_preconditions,
     enumerate_integer_flows,
     kostant,
     lidskii_points_binomial,
@@ -243,20 +245,13 @@ def verify_transform() -> list[dict]:
         out.append(record("order-flow/gamma-inverse", name, True, ok))
         # volume transfer, where the Lidskii hypotheses hold for the raw dual
         # (its ambient dimension matches the marked order polytope's)
-        net = dn.network
-        applicable = (
-            net.is_connected()
-            and all(net.netflow[v] >= 0 and net.outdeg(v) > 0 for v in range(net.num_vertices - 1))
+        try:
+            check_lidskii_preconditions(dn.network)
+        except FlowError:
+            continue
+        out.append(
+            record("order-flow/volume=lidskii", name, marked_volume(me.mp), lidskii_volume(dn.network))
         )
-        if applicable:
-            out.append(
-                record(
-                    "order-flow/volume=lidskii",
-                    name,
-                    marked_volume(me.mp),
-                    lidskii_volume(net),
-                )
-            )
     return out
 
 

@@ -196,3 +196,17 @@ def test_json_values_of_the_wrong_shape_give_one_line_and_exit_2(tmp_path, capsy
     assert main(["poset2flow", "--embedding", str(fe)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gtflow: embedding JSON has a value of the wrong shape") and err.count("\n") == 1
+
+
+def test_reserved_hat_id_in_an_embedding_gives_one_line_and_exit_2(tmp_path, capsys):
+    data = {
+        "poset": {"elements": ["0hat", "a"], "covers": [["0hat", "a"]], "marked": {"0hat": "0", "a": "1"}},
+        "faces": [
+            {"left": ["1hat", "0hat"], "right": ["1hat", "a", "0hat"]},
+            {"left": ["1hat", "a", "0hat"], "right": ["1hat", "0hat"]},
+        ],
+    }
+    fe = tmp_path / "reserved.embedding.json"
+    fe.write_text(json.dumps(data))
+    assert main(["poset2flow", "--embedding", str(fe)]) == 2
+    assert capsys.readouterr().err == "gtflow: element ids 0hat/1hat are reserved\n"

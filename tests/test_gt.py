@@ -192,3 +192,23 @@ def test_lidskii_routes_run_no_kostant_dp(monkeypatch):
     assert lidskii_volume(net) == gt_volume_lidskii(lam) == gt_volume_product(lam)
     assert lidskii_points_binomial(net) == gt_points_lidskii(lam) == weyl_dimension(lam)
     assert flow.lidskii_points_multiset(net) == weyl_dimension(lam)
+
+
+def test_tableau_round_trip_builds_each_zero_network_once(monkeypatch):
+    # flow_to_shsyt / shsyt_to_flow read G_lambda((0,)*k) at every level of
+    # their recursion; each k = 1..5 is built once, not once per level
+    calls = []
+    build = gt.build_G_lambda
+
+    def counting(lam):
+        calls.append(lam)
+        return build(lam)
+
+    monkeypatch.setattr(gt, "build_G_lambda", counting)
+    gt._zero_G_lambda.cache_clear()
+    try:
+        for t in enumerate_shsyt(5):
+            assert flow_to_shsyt(5, shsyt_to_flow(t)) == t
+    finally:
+        gt._zero_G_lambda.cache_clear()
+    assert len(calls) <= 5

@@ -229,3 +229,150 @@ def test_json_round_trip():
 def test_chain_lattice_points_count(lo_shift, width):
     mp = chain_mp(lo_shift, lo_shift + width)
     assert len(lattice_points(mp)) == width + 1
+
+
+class _ScanPoset:
+    """The scan-based Poset this module's index replaced, kept as a
+    reference: every query rescans the cover list."""
+
+    def __init__(self, elements, covers):
+        self.elements, self.covers = tuple(elements), tuple(covers)
+        els = set(self.elements)
+        for p, q in self.covers:
+            if p not in els or q not in els:
+                raise PosetError(f"cover ({p},{q}) references unknown element")
+            if p == q:
+                raise PosetError(f"loop at {p}")
+        below = {e: set() for e in self.elements}
+        for e in self._topo_order():
+            for p, q in self.covers:
+                if q == e:
+                    below[e].add(p)
+                    below[e] |= below[p]
+        self._below = below
+        for p, q in self.covers:
+            if any(p in below[z] and z in below[q] for z in self.elements):
+                raise PosetError(f"redundant cover ({p},{q})")
+        self.topo_order = self._topo_order()
+
+    def _topo_order(self):
+        indeg = {e: 0 for e in self.elements}
+        for p, q in self.covers:
+            indeg[q] += 1
+        avail = sorted(e for e, d in indeg.items() if d == 0)
+        out = []
+        while avail:
+            e = avail.pop(0)
+            out.append(e)
+            fresh = []
+            for p, q in self.covers:
+                if p == e:
+                    indeg[q] -= 1
+                    if indeg[q] == 0:
+                        fresh.append(q)
+            avail = sorted(set(avail) | set(fresh))
+        if len(out) != len(self.elements):
+            raise PosetError("cover relation has a cycle")
+        return tuple(out)
+
+    def lt(self, p, q):
+        return p in self._below[q]
+
+    def up_covers(self, p):
+        return tuple(sorted(q for a, q in self.covers if a == p))
+
+    def down_covers(self, q):
+        return tuple(sorted(p for p, b in self.covers if b == q))
+
+    def maximal_elements(self):
+        return tuple(sorted(set(self.elements) - {p for p, _ in self.covers}))
+
+    def minimal_elements(self):
+        return tuple(sorted(set(self.elements) - {q for _, q in self.covers}))
+
+    def with_relations(self, pairs):
+        below = {e: set(s) for e, s in self._below.items()}
+        for p, q in pairs:
+            if p not in below or q not in below:
+                raise PosetError(f"relation ({p},{q}) references unknown element")
+            if p == q:
+                raise PosetError(f"reflexive relation at {p}")
+            if q in below[p]:
+                raise PosetError("added relations create a cycle")
+            gain = below[p] | {p}
+            for z in self.elements:
+                if z == q or q in below[z]:
+                    below[z] |= gain
+        covers = [
+            (p, q)
+            for q in self.elements
+            for p in below[q]
+            if not any(p in below[z] for z in below[q])
+        ]
+        return _ScanPoset(sorted(self.elements), sorted(covers))
+
+
+def _poset_fields(make, elements, covers, extra):
+    """Everything the index answers, or the PosetError message."""
+    try:
+        p = make(elements, covers)
+    except PosetError as exc:
+        return ("rejected", str(exc))
+    try:
+        w = p.with_relations(extra)
+        wr = (w.elements, w.covers, w.topo_order)
+    except PosetError as exc:
+        wr = ("rejected", str(exc))
+    return (
+        p.topo_order,
+        [(p.up_covers(e), p.down_covers(e)) for e in elements],
+        p.maximal_elements(),
+        p.minimal_elements(),
+        [[p.lt(a, b) for b in elements] for a in elements],
+        wr,
+    )
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.data())
+def test_poset_index_matches_the_scan_based_poset(data):
+    # elements in any order; covers mostly point forward along a hidden
+    # ranking (acyclic, with duplicates and redundant covers), plus a few wild
+    # pairs that may close a cycle, make a loop or name the unknown letter
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    ranked = data.draw(st.permutations("abcdefg"[:n]))
+    names = st.sampled_from("abcdefgh"[: n + 1])
+    covers = []
+    if n >= 2:
+        ranks = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for a, b in data.draw(st.lists(ranks.filter(lambda r: r[0] != r[1]), max_size=12)):
+            covers.append((ranked[min(a, b)], ranked[max(a, b)]))
+    covers += data.draw(st.lists(st.tuples(names, names), max_size=2))
+    covers = data.draw(st.permutations(covers))
+    extra = data.draw(st.lists(st.tuples(names, names), max_size=3))
+    elements = tuple(data.draw(st.permutations(ranked)))
+    expected = _poset_fields(_ScanPoset, elements, tuple(covers), extra)
+    assert _poset_fields(Poset, elements, tuple(covers), extra) == expected
+
+
+def test_one_hat_builder_for_order_polytopes_and_embeddings():
+    from gtflow import corpus
+
+    for _, p in corpus.posets():
+        assert make_order_polytope_mp(p).poset == poset.hat_poset(p)
+    for _, me in corpus.embeddings():
+        p = me.mp.poset
+        assert make_order_polytope_mp(p).poset == poset.hat_poset(p) == me.hat_poset
+
+
+def test_reserved_hat_ids_raise_in_both_hat_paths():
+    from gtflow.transform import SENTINEL, MarkedEmbedding
+
+    p = Poset.from_covers(["0hat", "a"], [("0hat", "a")])
+    with pytest.raises(PosetError, match="reserved"):
+        make_order_polytope_mp(p)
+    mp = MarkedPoset.make(p, {"0hat": 0, "a": 1})
+    chain = ["1hat", "a", "0hat"]
+    me = MarkedEmbedding.make(mp, [(SENTINEL, chain), (chain, SENTINEL)])
+    with pytest.raises(PosetError, match="reserved"):
+        me.hat_poset

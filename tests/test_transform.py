@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -292,3 +293,20 @@ def test_gamma_rejects_infeasible_integer_points():
     for bad in ({**x, free: 3}, {**x, marked: x[marked] + 1}):
         with pytest.raises(PosetError):
             gamma(dn, bad)
+
+
+def test_single_sink_embeddings_raises_on_an_embedding_without_a_dual(tmp_path, monkeypatch):
+    # a chain marked 0 and 1/2 has no integer dual network; an external
+    # corpus holding it is an error, not a silently shorter fixture list
+    p = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    mp = MarkedPoset.make(p, {"a": 0, "c": Fraction(1, 2)})
+    chain = [TOP, "c", "b", "a", BOTTOM]
+    me = MarkedEmbedding.make(mp, [(SENTINEL, chain), (chain, SENTINEL)])
+    (tmp_path / "half.embedding.json").write_text(json.dumps(me.to_json()))
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    corpus.embeddings.cache_clear()
+    try:
+        with pytest.raises(EmbeddingError, match="integer markings"):
+            corpus.single_sink_embeddings()
+    finally:
+        corpus.embeddings.cache_clear()
