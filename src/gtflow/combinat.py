@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 Rational = Fraction
 
@@ -97,45 +97,67 @@ def shifted_cells(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
+class _Layout(NamedTuple):
+    """Row-major layout of a side-n staircase tableau with N = binom(n+1, 2)
+    cells, and what its entries are checked against."""
+
+    n: int
+    starts: tuple[int, ...]  # flat index of cell (i, i) for i = 1..n, then N
+    values: list[int]  # 1..N
+    smaller: Callable  # entries -> the smaller cell of every row and column pair
+    larger: Callable  # entries -> the larger cell of the same pairs
+
+
 @lru_cache(maxsize=None)
-def _staircase_checks(n: int):
-    """What a side-n staircase tableau is checked against: its row lengths,
-    the list 1..N, and two getters that read from the row-major entry tuple
-    the entries that must be smaller and larger in every row pair
+def _staircase_layout(size: int) -> _Layout | None:
+    """The layout of a staircase tableau with `size` entries, or None when
+    size is not binom(n+1, 2).  The getters pair up every row pair
     (i, j) < (i, j+1) and column pair (i, j) < (i+1, j)."""
-    start = [i * n - i * (i - 1) // 2 for i in range(n + 1)]  # flat index of (i+1, i+1)
+    n = (math.isqrt(8 * size + 1) - 1) // 2
+    if n * (n + 1) // 2 != size:
+        return None
+    starts = tuple(i * n - i * (i - 1) // 2 for i in range(n + 1))
     smaller: list[int] = []
     larger: list[int] = []
     for i in range(n):
         for k in range(n - i - 1):
-            smaller += [start[i] + k, start[i] + k + 1]
-            larger += [start[i] + k + 1, start[i + 1] + k]
-    lengths, values = tuple(range(n, 0, -1)), list(range(1, start[n] + 1))
+            smaller += [starts[i] + k, starts[i] + k + 1]
+            larger += [starts[i] + k + 1, starts[i + 1] + k]
+    values = list(range(1, size + 1))
     if not smaller:  # n <= 1 has no pairs, and itemgetter needs an index
-        return lengths, values, (lambda flat: ()), (lambda flat: ())
-    return lengths, values, itemgetter(*smaller), itemgetter(*larger)
+        return _Layout(n, starts, values, lambda entries: (), lambda entries: ())
+    return _Layout(n, starts, values, itemgetter(*smaller), itemgetter(*larger))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftedTableau:
-    """Shifted standard tableau of staircase shape.
+    """Shifted standard tableau of staircase shape, stored row-major.
 
-    rows[i-1] holds the entries of cells (i, i), ..., (i, n); entries are a
-    permutation of 1..binom(n+1, 2), strictly increasing along rows and
-    down columns.
+    entries lists cells (1, 1), ..., (1, n), (2, 2), ..., (n, n); they are a
+    permutation of 1..binom(n+1, 2), strictly increasing along rows and down
+    columns.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
 
     def __post_init__(self):
-        lengths, values, smaller, larger = _staircase_checks(len(self.rows))
-        if tuple(map(len, self.rows)) != lengths:
-            raise ValueError("rows must have staircase lengths n, n-1, ..., 1")
-        flat = tuple(chain.from_iterable(self.rows))
-        if sorted(flat) != values:
+        if not isinstance(self.entries, tuple):
+            raise TypeError("entries must be a tuple")
+        layout = _staircase_layout(len(self.entries))
+        if layout is None:
+            raise ValueError("entries must number binom(n+1,2) for some n")
+        if sorted(self.entries) != layout.values:
             raise ValueError("entries must be a permutation of 1..binom(n+1,2)")
-        if not all(map(lt, smaller(flat), larger(flat))):
+        if not all(map(lt, layout.smaller(self.entries), layout.larger(self.entries))):
             self._raise_first_violation()
+
+    @classmethod
+    def from_rows(cls, rows) -> ShiftedTableau:
+        """The tableau whose rows[i-1] holds cells (i, i), ..., (i, n)."""
+        rows = tuple(rows)
+        if tuple(map(len, rows)) != tuple(range(len(rows), 0, -1)):
+            raise ValueError("rows must have staircase lengths n, n-1, ..., 1")
+        return cls(tuple(chain.from_iterable(rows)))
 
     def _raise_first_violation(self) -> None:
         n = self.n
@@ -148,14 +170,25 @@ class ShiftedTableau:
                     raise ValueError(f"column violation at ({i},{j})")
 
     @property
+    def _layout(self) -> _Layout:
+        return _staircase_layout(len(self.entries))
+
+    @property
     def n(self) -> int:
-        return len(self.rows)
+        return self._layout.n
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """rows[i-1] holds the entries of cells (i, i), ..., (i, n)."""
+        e, s = self.entries, self._layout.starts
+        return tuple(e[s[i] : s[i + 1]] for i in range(len(s) - 1))
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - i]
+        return self.entries[self._layout.starts[i - 1] + j - i]
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(1, self.n + 1))
+        e = self.entries
+        return tuple(e[k] for k in self._layout.starts[:-1])
 
     def diagonal_composition(self) -> tuple[int, ...]:
         """b with T(i,i) = i + b_1 + ... + b_{i-1}."""
@@ -164,20 +197,22 @@ class ShiftedTableau:
 
 
 @lru_cache(maxsize=None)
-def _sub_staircase_moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _sub_staircase_moves(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Transition table of the lattice of shifted sub-staircases of side n.
 
     A state is the tuple of row lengths (r_1, ..., r_n) of an order ideal of
     the staircase: its nonzero parts strictly decrease and r_i <= n - i + 1,
     so there are 2^n states, numbered from 0 = empty.  moves[s] lists
-    (row index, next state) for every addable cell of s in row-major order:
-    cell (i, i + r_i) is addable when it lies in the staircase and the cell
-    above it, (i - 1, i + r_i), is filled.  Rows start in order, so a move
-    fills a diagonal cell exactly when its row index is the number of
+    (row index, cell index, next state) for every addable cell of s in
+    row-major order: cell (i, i + r_i) is addable when it lies in the
+    staircase and the cell above it, (i - 1, i + r_i), is filled; its cell
+    index is its place in ShiftedTableau.entries.  Rows start in order, so a
+    move fills a diagonal cell exactly when its row index is the number of
     nonempty rows of s.
     """
+    starts = _staircase_layout(n * (n + 1) // 2).starts
     index: dict[tuple[int, ...], int] = {}
-    moves: list[tuple[tuple[int, int], ...]] = []
+    moves: list[tuple[tuple[int, int, int], ...]] = []
 
     def visit(state: tuple[int, ...]) -> int:
         if state in index:
@@ -185,7 +220,7 @@ def _sub_staircase_moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         s = index[state] = len(moves)
         moves.append(())
         moves[s] = tuple(
-            (i, visit(state[:i] + (r + 1,) + state[i + 1 :]))
+            (i, starts[i] + r, visit(state[:i] + (r + 1,) + state[i + 1 :]))
             for i, r in enumerate(state)
             if r < n - i and (i == 0 or state[i - 1] >= r + 2)
         )
@@ -200,23 +235,23 @@ def walk_shsyt(n: int, emit) -> None:
     one at a time: nothing is held after emit returns.
 
     Values 1..N are placed in increasing order; at each step the addable
-    cells of the filled sub-staircase are tried row-major.
+    cells of the filled sub-staircase are tried row-major.  Every path from
+    the empty staircase to the full one writes each cell of one row-major
+    buffer once, so a leaf's buffer is its tableau.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     moves = _sub_staircase_moves(n)
     total = n * (n + 1) // 2
-    rows: list[list[int]] = [[] for _ in range(n)]
+    buf = [0] * total
 
     def rec(s: int, v: int) -> None:
         if v > total:
-            emit(ShiftedTableau(tuple(map(tuple, rows))))
+            emit(ShiftedTableau(tuple(buf)))
             return
-        for i, t in moves[s]:
-            row = rows[i]
-            row.append(v)
+        for _, cell, t in moves[s]:
+            buf[cell] = v
             rec(t, v + 1)
-            row.pop()
 
     rec(0, 1)
 
@@ -264,7 +299,7 @@ def diagonal_counts(n: int) -> Mapping[tuple[int, ...], int]:
     for v in range(1, n * (n + 1) // 2 + 1):
         nxt: dict[tuple[int, tuple[int, ...]], int] = {}
         for (s, diag), c in layer.items():
-            for i, t in moves[s]:
+            for i, _, t in moves[s]:
                 key = (t, diag + (v,) if i == len(diag) else diag)
                 nxt[key] = nxt.get(key, 0) + c
         layer = nxt

@@ -403,7 +403,7 @@ def leaf_volume(g: FlowNetwork) -> Fraction:
     a sink (negative netflow, no outgoing), with a single sink.
     """
     sinks = 0
-    vol = Fraction(1)
+    num = den = 1
     for v in range(g.num_vertices):
         a = g.netflow[v]
         if a == 0 and g.num_vertices > 1:
@@ -414,14 +414,15 @@ def leaf_volume(g: FlowNetwork) -> Fraction:
             d = g.outdeg(v)
             if d == 0:
                 raise FlowError(f"source {v} has no outgoing edges")
-            vol *= Fraction(a) ** (d - 1) / math.factorial(d - 1)
+            num *= a ** (d - 1)
+            den *= math.factorial(d - 1)
         elif a < 0:
             if g.outdeg(v) > 0:
                 raise FlowError(f"sink {v} has outgoing edges")
             sinks += 1
     if sinks > 1:
         raise FlowError("leaf volume formula needs a single sink")
-    return vol
+    return Fraction(num, den)
 
 
 def simplify(g: FlowNetwork):

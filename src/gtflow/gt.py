@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .combinat import ShiftedTableau, as_partition, diagonal_counts
+from .combinat import ShiftedTableau, as_partition, diagonal_counts, shifted_cells
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
 from .poset import MarkedPoset, Poset
 from .transform import BOTTOM, SENTINEL, TOP, Face, MarkedEmbedding
@@ -285,6 +285,15 @@ def flow_to_gt(lam, flow) -> GTPattern:
 # shifted tableaux <-> flows (the diagonal-count bijection)
 
 
+def _netflow_of(g: FlowNetwork, flow) -> list[int]:
+    """out - in of `flow` at each vertex of g."""
+    net = [0] * g.num_vertices
+    for x, (u, w) in zip(flow, g.edges):
+        net[u] += x
+        net[w] -= x
+    return net
+
+
 def shsyt_to_flow(t: ShiftedTableau) -> tuple[int, ...]:
     """Flow on G_lambda(n) realizing the tableau, via the counting formulas
     for the a and b edge values; the chain edges carry zero flow."""
@@ -293,29 +302,21 @@ def shsyt_to_flow(t: ShiftedTableau) -> tuple[int, ...]:
         return ()
     gtn = _zero_G_lambda(n)
     values = [0] * len(gtn.network.edges)
-    all_cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    rows = t.rows
+    cells = list(zip(shifted_cells(n), t.entries))
     for r in range(2, n + 1):
         for c in range(r, n + 1):
             i, j = c - r + 1, c
-            a = sum(
-                1
-                for (ii, jj) in all_cells
-                if ii < i and jj >= j and t.entry(i, j - 1) < t.entry(ii, jj) < t.entry(i, j)
-            )
+            row = rows[i - 1]
+            lo, hi = row[j - 1 - i], row[j - i]
+            a = sum(1 for (ii, jj), v in cells if ii < i and jj >= j and lo < v < hi)
             values[gtn.edge_index[("a", r, c)]] = a
             if i + 1 <= j:
-                b = sum(
-                    1
-                    for (ii, jj) in all_cells
-                    if ii <= i and jj > j and t.entry(i, j) < t.entry(ii, jj) < t.entry(i + 1, j)
-                )
+                lo, hi = hi, rows[i][j - i - 1]
+                b = sum(1 for (ii, jj), v in cells if ii <= i and jj > j and lo < v < hi)
                 values[gtn.edge_index[("b", r, c)]] = b
-    target = shifted_netflow(n, t.diagonal_composition())
-    for v in range(gtn.network.num_vertices):
-        inflow = sum(values[k] for k in gtn.network.in_edges(v))
-        outflow = sum(values[k] for k in gtn.network.out_edges(v))
-        if outflow - inflow != target[v]:
-            raise ValueError("tableau flow fails conservation")
+    if tuple(_netflow_of(gtn.network, values)) != shifted_netflow(n, t.diagonal_composition()):
+        raise ValueError("tableau flow fails conservation")
     return tuple(values)
 
 
@@ -329,11 +330,7 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
     if any(v < 0 for v in flow):
         raise ValueError("flow values must be nonnegative")
     # netflow (out - in) at each vertex, then sanity-check its shape
-    net = []
-    for v in range(gtn.network.num_vertices):
-        outflow = sum(flow[k] for k in gtn.network.out_edges(v))
-        inflow = sum(flow[k] for k in gtn.network.in_edges(v))
-        net.append(outflow - inflow)
+    net = _netflow_of(gtn.network, flow)
     b = tuple(net[k] + 1 for k in range(n - 1))
     if any(x < 0 for x in b):
         raise ValueError("netflow at a source is below -1")
@@ -341,7 +338,7 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
     if tuple(net) != expected:
         raise ValueError("flow netflow is not of the diagonal-shifted shape")
     if n == 1:
-        return ShiftedTableau(((1,),))
+        return ShiftedTableau((1,))
     # restrict to the subnetwork on rows >= 3, relabelled down by one
     sub = _zero_G_lambda(n - 1)
     subflow = [0] * len(sub.network.edges)
@@ -369,13 +366,9 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
                 return e + k
         raise ValueError("entry exceeds the diagonal composition range")
 
-    rows = []
-    for i in range(1, n + 1):
-        row = [i + prefix[i - 1]]
-        if i <= n - 1:
-            row += [shift(tprime.entry(i, j)) for j in range(i, n)]
-        rows.append(tuple(row))
-    return ShiftedTableau(tuple(rows))
+    sub_rows = tprime.rows
+    rows = [(i + prefix[i - 1], *map(shift, sub_rows[i - 1])) for i in range(1, n)]
+    return ShiftedTableau.from_rows(rows + [(n + prefix[n - 1],)])
 
 
 # ---------------------------------------------------------------------------

@@ -129,39 +129,35 @@ def compound_reduce(g: FlowNetwork, v: int, tree: NoncrossingTree):
     old_to_new = {i: idx for idx, i in enumerate(survivors)}
     edges = [(shift(g.edges[i][0]), shift(g.edges[i][1])) for i in survivors]
     pairs = []
+    # each edge at v -> the tree edges that replace it (its fan), in tree order
+    fans: dict[int, list[int]] = {i: [] for i in dead}
     for (t, s) in tree.edges:
         e_in, e_out = ins[t], outs[s]
         idx = len(edges)
         edges.append((shift(g.edges[e_in][0]), shift(g.edges[e_out][1])))
         pairs.append((idx, e_in, e_out))
+        fans[e_in].append(idx)
+        fans[e_out].append(idx)
 
-    netflow = tuple(x for u, x in enumerate(g.netflow) if u != v)
+    def reorder(order: tuple[int, ...]) -> tuple[int, ...]:
+        """An edge order at a neighbour of v, each edge at v replaced by its fan
+        (an in-edge of v by s ascending, an out-edge by t ascending)."""
+        out: list[int] = []
+        for i in order:
+            if i in fans:
+                out += fans[i]
+            else:
+                out.append(old_to_new[i])
+        return tuple(out)
 
-    out_orders = []
-    in_orders = []
-    for u in range(g.num_vertices):
-        if u == v:
-            continue
-        olist = []
-        for i in g.out_edges(u):
-            if i in old_to_new:
-                olist.append(old_to_new[i])
-            else:  # an in-edge of v: replaced by its tree fan (s ascending)
-                olist += [idx for (idx, ein, eout) in pairs if ein == i]
-        out_orders.append(olist)
-        ilist = []
-        for i in g.in_edges(u):
-            if i in old_to_new:
-                ilist.append(old_to_new[i])
-            else:  # an out-edge of v: replaced by its tree fan (t ascending)
-                ilist += [idx for (idx, ein, eout) in pairs if eout == i]
-        in_orders.append(ilist)
-
-    names = None
-    if g.names is not None:
-        names = [g.names[u] for u in range(g.num_vertices) if u != v]
-    child = FlowNetwork.make(
-        g.num_vertices - 1, edges, netflow, in_orders=in_orders, out_orders=out_orders, names=names
+    kept = [u for u in range(g.num_vertices) if u != v]
+    child = FlowNetwork(
+        g.num_vertices - 1,
+        tuple(edges),
+        tuple(g.netflow[u] for u in kept),
+        tuple(reorder(g.in_edges(u)) for u in kept),
+        tuple(reorder(g.out_edges(u)) for u in kept),
+        None if g.names is None else tuple(g.names[u] for u in kept),
     )
     return child, old_to_new, pairs
 

@@ -116,9 +116,9 @@ def test_enumerate_shsyt_matches_cell_scan_in_order(n):
 
 def test_shifted_tableau_invariants_rejected():
     with pytest.raises(ValueError):
-        ShiftedTableau(((2, 1), (3,)))
+        ShiftedTableau.from_rows(((2, 1), (3,)))
     with pytest.raises(ValueError):
-        ShiftedTableau(((1, 3), (2,)))
+        ShiftedTableau.from_rows(((1, 3), (2,)))
     rejected = [
         (((1, 2, 4), (3, 5), (6, 7)), "rows must have staircase lengths"),
         (((1, 2, 4), (3, 5)), "rows must have staircase lengths"),
@@ -131,8 +131,73 @@ def test_shifted_tableau_invariants_rejected():
     ]
     for rows, message in rejected:
         with pytest.raises(ValueError, match=message):
-            ShiftedTableau(rows)
-    ShiftedTableau(((1, 2, 4), (3, 5), (6,)))
+            ShiftedTableau.from_rows(rows)
+    ShiftedTableau.from_rows(((1, 2, 4), (3, 5), (6,)))
+    flat_rejected = [
+        ((1, 2), "must number binom"),
+        ((1, 2, 3, 4), "must number binom"),
+        ((1, 2, 2), "must be a permutation"),
+        ((0, 1, 2), "must be a permutation"),
+        ((1, 2, 3, 4, 5, 7), "must be a permutation"),
+        ((2, 1, 3), r"row violation at \(1,1\)"),
+    ]
+    for entries, message in flat_rejected:
+        with pytest.raises(ValueError, match=message):
+            ShiftedTableau(entries)
+    with pytest.raises(TypeError):
+        ShiftedTableau([1, 2, 3])
+    assert ShiftedTableau((1, 2, 4, 3, 5, 6)).rows == ((1, 2, 4), (3, 5), (6,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shifted_tableau_row_major_accessors(n):
+    for t in enumerate_shsyt(n):
+        rows = t.rows
+        again = ShiftedTableau.from_rows(rows)
+        assert again == t and hash(again) == hash(t)
+        assert t.n == len(rows) == n
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                assert t.entry(i, j) == rows[i - 1][j - i]
+        diagonal = tuple(row[0] for row in rows)
+        assert t.diagonal() == diagonal
+        assert t.diagonal_composition() == tuple(
+            diagonal[i + 1] - diagonal[i] - 1 for i in range(n - 1)
+        )
+
+
+def test_walk_output_is_validated(monkeypatch):
+    moves = combinat._sub_staircase_moves(3)
+    s = next(s for s, m in enumerate(moves) if len(m) >= 2)
+    (i1, c1, t1), (i2, c2, t2) = moves[s][:2]
+    swapped = list(moves)
+    swapped[s] = ((i1, c2, t1), (i2, c1, t2)) + moves[s][2:]
+    monkeypatch.setattr(combinat, "_sub_staircase_moves", lambda n: tuple(swapped))
+    combinat.enumerate_shsyt.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            enumerate_shsyt(3)
+    finally:
+        combinat.enumerate_shsyt.cache_clear()
+
+
+def test_tableaux_are_compact_at_n6():
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = []
+        combinat.walk_shsyt(6, held.append)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 33592
+    assert not hasattr(held[0], "__dict__")
+    assert retained / len(held) < 400
 
 
 def test_counts_and_shsyt_volume_never_enumerate(monkeypatch):
