@@ -56,28 +56,34 @@ class FlowNetwork:
             raise FlowError("netflow length must equal num_vertices")
         if sum(self.netflow) != 0:
             raise FlowError("netflow must sum to zero")
+        incidence = None
         for orders, side in ((self.in_orders, 0), (self.out_orders, 1)):
             if orders is None:
                 continue
             if len(orders) != n:
                 raise FlowError("edge orderings must cover every vertex")
-            for v in range(n):
-                if sorted(orders[v]) != list(self._edge_lists[side][v]):
-                    raise FlowError(f"edge ordering at vertex {v} is not a permutation")
+            incidence = incidence or self._incidence()
+            if list(map(sorted, orders)) != incidence[side]:
+                v = next(v for v in range(n) if sorted(orders[v]) != incidence[side][v])
+                raise FlowError(f"edge ordering at vertex {v} is not a permutation")
         if self.names is not None and len(self.names) != n:
             raise FlowError("names must cover every vertex")
 
     # -- structure ---------------------------------------------------------
 
-    @cached_property
-    def _edge_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Per vertex, its in- and out-edge indices in list order; not a field."""
+    def _incidence(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per vertex, its in- and out-edge indices in list order."""
         ins: list[list[int]] = [[] for _ in range(self.num_vertices)]
         outs: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for i, (u, v) in enumerate(self.edges):
             ins[v].append(i)
             outs[u].append(i)
-        return tuple(map(tuple, ins)), tuple(map(tuple, outs))
+        return ins, outs
+
+    @cached_property
+    def _edge_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Per vertex, its in- and out-edge indices in list order; not a field."""
+        return tuple(tuple(map(tuple, lists)) for lists in self._incidence())
 
     def in_edges(self, v: int) -> tuple[int, ...]:
         return (self._edge_lists[0] if self.in_orders is None else self.in_orders)[v]
@@ -132,12 +138,12 @@ class FlowNetwork:
         f = tuple(f)
         if len(f) != len(self.edges) or any(x < 0 for x in f):
             return False
-        for v in range(self.num_vertices):
-            inflow = sum(f[i] for i in self.in_edges(v))
-            outflow = sum(f[i] for i in self.out_edges(v))
-            if inflow + self.netflow[v] != outflow:
-                return False
-        return True
+        # conservation: inflow + netflow - outflow is zero at every vertex
+        balance = list(self.netflow)
+        for x, (u, v) in zip(f, self.edges):
+            balance[u] -= x
+            balance[v] += x
+        return not any(balance)
 
     # -- serialization -----------------------------------------------------
 

@@ -31,6 +31,14 @@ class PosetError(ValueError):
     pass
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Poset:
     """Finite poset given by elements and cover pairs (lower, upper)."""
@@ -47,21 +55,22 @@ class Poset:
         return Poset(els, cvs)
 
     def __post_init__(self):
-        # one pass builds the index every query reads: sorted cover tuples
-        # per element (duplicates kept), the topological order (Kahn's
-        # algorithm, smallest available element first) and the
-        # strictly-below sets, unioned along that order
-        ups: dict[str, list[str]] = {e: [] for e in self.elements}
-        downs: dict[str, list[str]] = {e: [] for e in self.elements}
+        # one pass builds the index every query reads: a bit per element
+        # (in name order), the topological order (Kahn's algorithm, smallest
+        # available element first) and, per element, the int of the
+        # elements strictly below it, ORed along that order
+        bit = {e: 1 << i for i, e in enumerate(sorted(self.elements))}
+        ups: dict[str, list[str]] = {e: [] for e in bit}
+        downs: dict[str, list[str]] = {e: [] for e in bit}
         for p, q in self.covers:
-            if p not in ups or q not in ups:
+            if p not in bit or q not in bit:
                 raise PosetError(f"cover ({p},{q}) references unknown element")
             if p == q:
                 raise PosetError(f"loop at {p}")
             ups[p].append(q)
             downs[q].append(p)
         indeg = {e: len(d) for e, d in downs.items()}
-        avail = sorted(e for e, d in indeg.items() if d == 0)
+        avail = [e for e, d in indeg.items() if d == 0]  # sorted: a heap
         order = []
         while avail:
             e = heapq.heappop(avail)
@@ -72,19 +81,39 @@ class Poset:
                     heapq.heappush(avail, q)
         if len(order) != len(self.elements):
             raise PosetError("cover relation has a cycle")
-        below: dict[str, set[str]] = {}
+        below: dict[str, int] = {}
+        under: dict[str, int] = {}  # strictly below some down cover
         for e in order:
-            below[e] = set(downs[e]).union(*(below[d] for d in downs[e]))
+            u = c = 0
+            for d in downs[e]:
+                u |= below[d]
+                c |= bit[d]
+            below[e] = u | c
+            under[e] = u
         for p, q in self.covers:
-            if any(p in below[d] for d in downs[q]):
+            if bit[p] & under[q]:
                 raise PosetError(f"redundant cover ({p},{q})")
         object.__setattr__(self, "topo_order", tuple(order))
+        object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_below", below)
-        object.__setattr__(self, "_ups", {e: tuple(sorted(u)) for e, u in ups.items()})
-        object.__setattr__(self, "_downs", {e: tuple(sorted(d)) for e, d in downs.items()})
+
+    @cached_property
+    def _cover_tuples(self) -> tuple[dict, dict]:
+        """Per element, its sorted up- and down-cover tuples (duplicates kept);
+        built on first use, as a cell step never reads them."""
+        lists = ({e: [] for e in self._bit}, {e: [] for e in self._bit})
+        for p, q in self.covers:
+            lists[0][p].append(q)
+            lists[1][q].append(p)
+        return tuple({e: tuple(sorted(c)) for e, c in side.items()} for side in lists)
+
+    @cached_property
+    def _above(self) -> dict[str, int]:
+        """Per element, the int of the elements strictly above it."""
+        return {p: sum(self._bit[q] for q, m in self._below.items() if m & b) for p, b in self._bit.items()}
 
     def lt(self, p: str, q: str) -> bool:
-        return p in self._below[q]
+        return bool(self._below[q] & self._bit[p])
 
     def leq(self, p: str, q: str) -> bool:
         return p == q or self.lt(p, q)
@@ -93,83 +122,82 @@ class Poset:
         return p == q or self.lt(p, q) or self.lt(q, p)
 
     def up_covers(self, p: str) -> tuple[str, ...]:
-        return self._ups[p]
+        return self._cover_tuples[0][p]
 
     def down_covers(self, q: str) -> tuple[str, ...]:
-        return self._downs[q]
+        return self._cover_tuples[1][q]
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e, u in self._ups.items() if not u))
+        lower = {p for p, _ in self.covers}
+        return tuple(e for e in self._bit if e not in lower)
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e, d in self._downs.items() if not d))
+        return tuple(e for e in self._bit if not self._below[e])
 
     def linear_extensions(self, position_filter=None):
         """Yield order-reversing listings (maximal elements first).
 
         position_filter(pos, element) may veto a placement; pos is 1-based.
         """
-        n = len(self.elements)
+        items = [(e, b, self._above[e]) for e, b in self._bit.items()]
         placed: list[str] = []
-        remaining = set(self.elements)
 
-        def rec():
+        def rec(remaining: int):
             if not remaining:
                 yield tuple(placed)
                 return
-            for e in sorted(remaining):
-                if any(self.lt(e, o) for o in remaining if o != e):
-                    continue  # must place maximal elements first
+            for e, b, above in items:
+                # maximal among the remaining elements, names ascending
+                if not b & remaining or above & remaining:
+                    continue
                 if position_filter and not position_filter(len(placed) + 1, e):
                     continue
                 placed.append(e)
-                remaining.discard(e)
-                yield from rec()
+                yield from rec(remaining ^ b)
                 placed.pop()
-                remaining.add(e)
 
-        yield from rec()
+        yield from rec((1 << len(items)) - 1)
 
     def count_linear_extensions(self) -> int:
-        memo: dict[frozenset, int] = {}
+        items = [(b, self._above[e]) for e, b in self._bit.items()]
+        memo: dict[int, int] = {0: 1}
 
-        def count(remaining: frozenset) -> int:
-            if not remaining:
-                return 1
-            if remaining in memo:
-                return memo[remaining]
-            total = 0
-            for e in remaining:
-                if not any(self.lt(e, o) for o in remaining if o != e):
-                    total += count(remaining - {e})
-            memo[remaining] = total
-            return total
+        def count(remaining: int) -> int:
+            if remaining not in memo:
+                memo[remaining] = sum(
+                    count(remaining ^ b) for b, above in items if b & remaining and not above & remaining
+                )
+            return memo[remaining]
 
-        return count(frozenset(self.elements))
+        return count((1 << len(items)) - 1)
 
     def with_relations(self, pairs) -> "Poset":
         """New poset with extra relations (p below q), transitively reduced."""
-        below = {e: set(s) for e, s in self._below.items()}
+        bit = self._bit
+        below = dict(self._below)
         for p, q in pairs:
             p, q = str(p), str(q)
-            if p not in below or q not in below:
+            if p not in bit or q not in bit:
                 raise PosetError(f"relation ({p},{q}) references unknown element")
             if p == q:
                 raise PosetError(f"reflexive relation at {p}")
-            if q in below[p]:
+            if below[p] & bit[q]:
                 raise PosetError("added relations create a cycle")
             # the closure stays transitive: everything at or below p goes
             # below q and below everything above q
-            gain = below[p] | {p}
-            for z in self.elements:
-                if z == q or q in below[z]:
-                    below[z] |= gain
-        covers = [
-            (p, q)
-            for q in self.elements
-            for p in below[q]
-            if not any(p in below[z] for z in below[q])
-        ]
+            gain = below[p] | bit[p]
+            bq = bit[q]
+            for z, m in below.items():
+                if z == q or m & bq:
+                    below[z] = m | gain
+        # the covers of q: the elements below q and below nothing below q
+        names = list(bit)
+        covers = []
+        for q, m in below.items():
+            under = 0
+            for i in _bits(m):
+                under |= below[names[i]]
+            covers += [(names[i], q) for i in _bits(m & ~under)]
         return Poset.from_covers(self.elements, covers)
 
     def order_polynomial(self, m: int) -> int:
@@ -238,7 +266,7 @@ class MarkedPoset:
     def validate(self) -> None:
         lam = self.marking
         for a in lam:
-            if a not in self.poset._below:
+            if a not in self.poset._bit:
                 raise PosetError(f"marked element {a} not in poset")
         for e in self.poset.maximal_elements() + self.poset.minimal_elements():
             if e not in lam:

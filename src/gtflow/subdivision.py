@@ -8,7 +8,7 @@ top to bottom (the per-vertex edge order of the network; for duals of
 embeddings this is the boundary order).  The canonical reduction tree always
 reduces the highest-index zero-netflow vertex first.
 
-A single cell step, `_step`, replaces a face F by the linear extension paired
+A single cell step, `_steps`, replaces a face F by the linear extension paired
 with a noncrossing tree and reduces the dual vertex v_F by the same tree;
 both `full_subdivision_check` and `leaves_to_extensions` run on it.  Each
 edge of a reduced network carries its inclusion as a root path: the root
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinat import binomial, enumerate_compositions, finite_difference
 from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
@@ -94,32 +95,34 @@ class NoncrossingTree:
         return tuple(c + 1 for c in self.to_composition())
 
 
-def enumerate_noncrossing_trees(l: int, r: int) -> list[NoncrossingTree]:
+@lru_cache(maxsize=64)
+def enumerate_noncrossing_trees(l: int, r: int) -> tuple[NoncrossingTree, ...]:
     """All noncrossing trees with l left and r right vertices, via the
     bijection with weak compositions of r-1 into l parts."""
     if l < 1 or r < 1:
         raise ValueError("need at least one vertex in each column")
-    return [NoncrossingTree.from_composition(c) for c in enumerate_compositions(r - 1, l)]
+    return tuple(NoncrossingTree.from_composition(c) for c in enumerate_compositions(r - 1, l))
 
 
 # ---------------------------------------------------------------------------
 # compounded reductions
 
 
-def compound_reduce(g: FlowNetwork, v: int, tree: NoncrossingTree):
-    """Replace the zero-netflow vertex v by the tree's edge identifications.
+def compound_reductions(g: FlowNetwork, v: int, trees):
+    """Replace the zero-netflow vertex v by each tree's edge identifications.
 
-    Returns (network, survivor_map old->new, pairs) where pairs lists
-    (new_edge_index, old_in_edge, old_out_edge) for the tree edges.
+    Yields (network, survivor_map old->new, pairs) per tree, where pairs
+    lists (new_edge_index, old_in_edge, old_out_edge) for the tree edges.
+    What does not depend on the tree is built once: the surviving edges,
+    the map (shared by the children), the kept vertices' netflow and names,
+    and the renumbered edge orders at every vertex with no edge at v.
     """
     if g.netflow[v] != 0:
         raise FlowError(f"vertex {v} has nonzero netflow")
-    ins = list(g.in_edges(v))
-    outs = list(g.out_edges(v))
+    ins = g.in_edges(v)
+    outs = g.out_edges(v)
     if not ins or not outs:
         raise FlowError(f"vertex {v} lacks incoming or outgoing edges")
-    if tree.left != len(ins) or tree.right != len(outs):
-        raise FlowError("tree shape does not match the vertex degrees")
 
     def shift(u: int) -> int:
         return u if u < v else u - 1
@@ -127,39 +130,53 @@ def compound_reduce(g: FlowNetwork, v: int, tree: NoncrossingTree):
     dead = set(ins) | set(outs)
     survivors = [i for i in range(len(g.edges)) if i not in dead]
     old_to_new = {i: idx for idx, i in enumerate(survivors)}
-    edges = [(shift(g.edges[i][0]), shift(g.edges[i][1])) for i in survivors]
-    pairs = []
-    # each edge at v -> the tree edges that replace it (its fan), in tree order
-    fans: dict[int, list[int]] = {i: [] for i in dead}
-    for (t, s) in tree.edges:
-        e_in, e_out = ins[t], outs[s]
-        idx = len(edges)
-        edges.append((shift(g.edges[e_in][0]), shift(g.edges[e_out][1])))
-        pairs.append((idx, e_in, e_out))
-        fans[e_in].append(idx)
-        fans[e_out].append(idx)
-
-    def reorder(order: tuple[int, ...]) -> tuple[int, ...]:
-        """An edge order at a neighbour of v, each edge at v replaced by its fan
-        (an in-edge of v by s ascending, an out-edge by t ascending)."""
-        out: list[int] = []
-        for i in order:
-            if i in fans:
-                out += fans[i]
-            else:
-                out.append(old_to_new[i])
-        return tuple(out)
-
+    edges = tuple((shift(g.edges[i][0]), shift(g.edges[i][1])) for i in survivors)
+    tails = [shift(g.edges[i][0]) for i in ins]
+    heads = [shift(g.edges[i][1]) for i in outs]
     kept = [u for u in range(g.num_vertices) if u != v]
-    child = FlowNetwork(
-        g.num_vertices - 1,
-        tuple(edges),
-        tuple(g.netflow[u] for u in kept),
-        tuple(reorder(g.in_edges(u)) for u in kept),
-        tuple(reorder(g.out_edges(u)) for u in kept),
-        None if g.names is None else tuple(g.names[u] for u in kept),
-    )
-    return child, old_to_new, pairs
+    netflow = tuple(g.netflow[u] for u in kept)
+    names = None if g.names is None else tuple(g.names[u] for u in kept)
+    # per side, the renumbered orders; None where an edge at v needs its fan
+    sides = (g.in_edges, g.out_edges)
+    fixed = [
+        [None if dead.intersection(o) else tuple(map(old_to_new.__getitem__, o)) for o in map(side, kept)]
+        for side in sides
+    ]
+    for tree in trees:
+        if tree.left != len(ins) or tree.right != len(outs):
+            raise FlowError("tree shape does not match the vertex degrees")
+        pairs = []
+        # each edge at v -> the tree edges that replace it (its fan), in tree order
+        fans: dict[int, list[int]] = {i: [] for i in dead}
+        for idx, (t, s) in enumerate(tree.edges, len(survivors)):
+            e_in, e_out = ins[t], outs[s]
+            pairs.append((idx, e_in, e_out))
+            fans[e_in].append(idx)
+            fans[e_out].append(idx)
+
+        def reorder(order: tuple[int, ...]) -> tuple[int, ...]:
+            """An edge order at a neighbour of v, each edge at v replaced by its
+            fan (an in-edge of v by s ascending, an out-edge by t ascending)."""
+            out: list[int] = []
+            for i in order:
+                if i in fans:
+                    out += fans[i]
+                else:
+                    out.append(old_to_new[i])
+            return tuple(out)
+
+        orders = [
+            tuple(reorder(side(u)) if o is None else o for u, o in zip(kept, side_fixed))
+            for side, side_fixed in zip(sides, fixed)
+        ]
+        tree_edges = tuple((tails[t], heads[s]) for t, s in tree.edges)
+        yield FlowNetwork(g.num_vertices - 1, edges + tree_edges, netflow, *orders, names), old_to_new, pairs
+
+
+def compound_reduce(g: FlowNetwork, v: int, tree: NoncrossingTree):
+    """Replace the zero-netflow vertex v by one tree's edge identifications:
+    the child compound_reductions yields for that tree."""
+    return next(compound_reductions(g, v, (tree,)))
 
 
 def check_sign_convention(g: FlowNetwork) -> None:
@@ -233,8 +250,9 @@ def _root_point(flow, inclusion, m: int) -> tuple[int, ...]:
     """A flow on a reduced network, in the m edge coordinates of its root."""
     out = [0] * m
     for val, path in zip(flow, inclusion):
-        for e in path:
-            out[e] += val
+        if val:  # most cell flows are sparse
+            for e in path:
+                out[e] += val
     return tuple(out)
 
 
@@ -277,8 +295,8 @@ def canonical_reduction_tree(g: FlowNetwork, order=None) -> ReductionTree:
         if v is None:
             continue
         children[ni] = []
-        for tree in enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v)):
-            child, old_to_new, pairs = compound_reduce(net, v, tree)
+        trees = enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v))
+        for tree, (child, old_to_new, pairs) in zip(trees, compound_reductions(net, v, trees)):
             inc = nodes[ni].inclusion
             node = ReductionNode(
                 child,
@@ -389,7 +407,7 @@ def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> Marked
     new_poset = me.mp.poset.with_relations(poset_pairs)
     boundary = set(_chain_covers(face.left)) | set(_chain_covers(face.right))
     old_hat = set(me.hat_poset.covers)
-    new_mp = MarkedPoset.make(new_poset, me.mp.marking)
+    new_mp = MarkedPoset(new_poset, me.mp.marking_items)
     pos = {e: t for t, e in enumerate(sigma)}
 
     def reroute(chain):
@@ -446,6 +464,7 @@ class _CellState:
     keys: tuple  # DualNetwork vertex keys
     crossings: tuple
     inclusion: tuple  # root paths in the unsimplified dual of the root embedding
+    points: tuple = ()  # lattice points in root element order, where carried
 
 
 def _dual_signature(state: _CellState):
@@ -530,39 +549,62 @@ def _face_vertex(state: _CellState, face_id: str) -> tuple[int, Face]:
     return v, face
 
 
-def _step(state: _CellState, face_id: str, tree: NoncrossingTree):
+def _steps(state: _CellState, face_id: str, tree: NoncrossingTree | None = None):
     """The one cell step: replace the face by the linear extension paired
-    with the tree, and reduce its dual vertex by the tree.
+    with a noncrossing tree, and reduce its dual vertex v_F by the tree.
 
-    Returns (child, old_to_new, pairs) with the map and the tree-edge pairs
-    of `compound_reduce`.
+    Yields (child, old_to_new, pairs), with the map and the tree-edge pairs
+    of the reduction, for the given tree or else for every tree at v_F, all
+    reduced in one `compound_reductions` pass.
     """
     v, face = _face_vertex(state, face_id)
-    sigma = sigma_from_tree(face, tree)
-    child_me = subdivide_with_extension(state.me, face_id, sigma)
-    child_net, old_to_new, pairs = compound_reduce(state.network, v, tree)
+    net = state.network
+    if tree is None:
+        trees = enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v))
+        reductions = compound_reductions(net, v, trees)
+    else:
+        trees = (tree,)
+        reductions = (compound_reduce(net, v, t) for t in trees)
+    ids = state.me.face_ids
+    fi = ids.index(face_id)
+    child_ids = ids[:fi] + ids[fi + 1 :]
     keys = tuple(
-        (k[0], child_me.face_ids.index(state.me.face_ids[k[1]])) + tuple(k[2:])
+        (k[0], child_ids.index(ids[k[1]])) + tuple(k[2:])
         for u, k in enumerate(state.keys)
         if u != v
     )
-    crossings = [(sigma[rank + 1], sigma[rank]) for rank in range(len(pairs))]
     inc = state.inclusion
-    child = _CellState(
-        child_me,
-        child_net,
-        keys,
-        _carry(state.crossings, old_to_new, pairs, crossings),
-        _carry(inc, old_to_new, pairs, [inc[a] + inc[b] for _, a, b in pairs]),
-    )
-    return child, old_to_new, pairs
+    for t in trees:
+        sigma = sigma_from_tree(face, t)
+        child_me = subdivide_with_extension(state.me, face_id, sigma)
+        child_net, old_to_new, pairs = next(reductions)
+        crossings = [(sigma[rank + 1], sigma[rank]) for rank in range(len(pairs))]
+        child = _CellState(
+            child_me,
+            child_net,
+            keys,
+            _carry(state.crossings, old_to_new, pairs, crossings),
+            _carry(inc, old_to_new, pairs, [inc[a] + inc[b] for _, a, b in pairs]),
+        )
+        yield child, old_to_new, pairs
+
+
+def _cell_points(parent: _CellState, child: _CellState) -> tuple:
+    """The child cell's lattice points: the parent's points that satisfy the
+    covers the child's poset adds (a cell only adds relations to its parent
+    and keeps the marking)."""
+    pos = {e: i for i, e in enumerate(parent.me.mp.poset.elements)}
+    points = parent.points
+    for p, q in set(child.me.mp.poset.covers).difference(parent.me.mp.poset.covers):
+        i, j = pos[p], pos[q]
+        points = [x for x in points if x[i] <= x[j]]
+    return tuple(points)
 
 
 def _expand_cell(state: _CellState, face_id: str, check: bool) -> list[_CellState]:
-    v, _ = _face_vertex(state, face_id)
     out = []
-    for tree in enumerate_noncrossing_trees(state.network.indeg(v), state.network.outdeg(v)):
-        child, _, _ = _step(state, face_id, tree)
+    for child, _, _ in _steps(state, face_id):
+        child.points = _cell_points(state, child)
         if check:
             direct, _ = _simplified_dual_state(child.me)
             if _dual_signature(child) != _dual_signature(direct):
@@ -593,10 +635,13 @@ def full_subdivision_check(
     by cell: equal labeled networks, matching volumes, and a lattice-point
     bijection through the integral equivalence.
 
-    A cell only adds relations to the root poset and keeps its marking, so
-    its lattice points are root lattice points: gamma maps each root point
-    once, and a cell's points are looked up in that image.  A cell point
-    that is not a root point makes lattice_matches False.
+    A cell only adds relations to its parent's poset and keeps the marking,
+    so the root's lattice points are searched once and carried down the
+    cell tree: each cell keeps the parent points that satisfy its added
+    covers (`_cell_points`).  gamma maps each root point once, and a cell's
+    points are looked up in that image.  Carried points are root points by
+    construction; a cell point outside the image (only a faulty carry can
+    make one) still makes lattice_matches False.
 
     face_order overrides the canonical highest-vertex-first sequence (used
     by the order-naturality property test).
@@ -607,13 +652,14 @@ def full_subdivision_check(
     plan = _reduction_order(root) if face_order is None else list(face_order)
     if sorted(plan) != sorted(_reduction_order(root)):
         raise EmbeddingError("face_order must permute the reducible faces")
-    states = [root]
-    for face_id in plan:
-        states = [c for s in states for c in _expand_cell(s, face_id, check_networks)]
     # everything is compared in the coordinates of the unsimplified dual;
     # pruned whisker edges carry zero flow in every feasible point
     elements = me.mp.poset.elements
     image = {tuple(x[e] for e in elements): gamma(dn, x) for x in lattice_points(me.mp)}
+    root.points = tuple(image)
+    states = [root]
+    for face_id in plan:
+        states = [c for s in states for c in _expand_cell(s, face_id, check_networks)]
     root_vol = marked_volume(me.mp)
     m = len(dn.network.edges)
     total = Fraction(0)
@@ -626,7 +672,7 @@ def full_subdivision_check(
         total += cell_vol
         if cell_vol != _leaf_cell_volume(cell.network, dim):
             volumes_ok = False
-        keys = {tuple(x[e] for e in elements) for x in lattice_points(cell.me.mp)}
+        keys = set(cell.points)
         order_side = {image[k] for k in keys if k in image}
         flows = enumerate_integer_flows(cell.network)
         flow_side = {_root_point(g, cell.inclusion, m) for g in flows}
@@ -654,6 +700,13 @@ def _chain_extension(mp: MarkedPoset) -> tuple[str, ...]:
     return tuple(chain)
 
 
+@lru_cache(maxsize=8)
+def _root_dual(me: MarkedEmbedding) -> _CellState:
+    """The simplified root dual, built once for the gap vectors of one
+    embedding; callers must not change it."""
+    return _simplified_dual_state(me)[0]
+
+
 def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     """Explicit extension bijection for a single-sink embedding: each integer
     flow at the shifted netflow walks to a leaf of the canonical reduction
@@ -661,7 +714,7 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     1, 2+a_1, ..., k+a_1+...+a_{k-1}."""
     if any(f != "L" for f in me.flags):
         raise EmbeddingError("the extension bijection runs on left-flagged embeddings")
-    root, _ = _simplified_dual_state(me)
+    root = _root_dual(me)
     net = root.network
     sinks = [v for v in range(net.num_vertices) if net.netflow[v] < 0]
     if len(sinks) != 1 or sinks[0] != net.num_vertices - 1:
@@ -693,7 +746,7 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
             if any(values[i] != 0 for i in state.network.out_edges(v)):
                 raise EmbeddingError("nonzero flow on an edge into the sink")
             tree = NoncrossingTree.from_composition(values[i] for i in state.network.in_edges(v))
-            state, old_to_new, pairs = _step(state, face_id, tree)
+            state, old_to_new, pairs = next(_steps(state, face_id, tree))
             values = _carry(values, old_to_new, pairs, [0] * len(pairs))
         if any(values):
             raise EmbeddingError("leaf flow should vanish identically")

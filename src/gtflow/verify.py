@@ -3,6 +3,9 @@ returns machine-readable records.
 
 Each record is {"identity", "instance", "expected", "actual", "pass"} with
 exact values rendered as strings (integers in decimal, rationals as p/q).
+An instance a check cannot run on is not a record: it goes to the report's
+`skipped` list as {"identity", "instance", "reason"}, and never counts as a
+pass.
 """
 
 from __future__ import annotations
@@ -68,6 +71,12 @@ def record(identity, instance, expected, actual):
         "actual": _fmt(actual),
         "pass": expected == actual,
     }
+
+
+def skip(skipped, identity, instance, reason) -> None:
+    """Note an instance the identity was not checked on, if a list is given."""
+    if skipped is not None:
+        skipped.append({"identity": identity, "instance": str(instance), "reason": str(reason)})
 
 
 def partitions(max_n: int, max_part: int):
@@ -181,7 +190,7 @@ def verify_flow(tmax: int = 3) -> list[dict]:
     return out
 
 
-def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0) -> list[dict]:
+def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0, skipped=None) -> list[dict]:
     """Order-polytope and marked-volume checks, Minkowski support-function
     additivity, and log-concavity of the extension counts."""
     out = []
@@ -214,11 +223,12 @@ def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0) -> list[dict]:
         violations = check_log_concavity(mp)
         out.append(record("log-concavity/adjacent-trade", name, [], violations))
     for name, p in corpus.posets():
+        identity, instance = "log-concavity/adjacent-trade", f"order-polytope:{name}"
         if len(p.elements) > 5:
+            reason = f"{len(p.elements)} elements: the check runs on order polytopes of at most 5"
+            skip(skipped, identity, instance, reason)
             continue
-        mp = make_order_polytope_mp(p)
-        violations = check_log_concavity(mp)
-        out.append(record("log-concavity/adjacent-trade", f"order-polytope:{name}", [], violations))
+        out.append(record(identity, instance, [], check_log_concavity(make_order_polytope_mp(p))))
     for name, me in corpus.embeddings():
         mp = me.mp
         omegas = unit_markings(mp)
@@ -230,7 +240,7 @@ def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0) -> list[dict]:
     return out
 
 
-def verify_transform() -> list[dict]:
+def verify_transform(skipped=None) -> list[dict]:
     """Marked-order-to-flow equivalence: Gamma bijections, count transfer,
     and volume transfer where the Lidskii hypotheses apply."""
     out = []
@@ -247,7 +257,8 @@ def verify_transform() -> list[dict]:
         # (its ambient dimension matches the marked order polytope's)
         try:
             check_lidskii_preconditions(dn.network)
-        except FlowError:
+        except FlowError as exc:
+            skip(skipped, "order-flow/volume=lidskii", name, exc)
             continue
         out.append(
             record("order-flow/volume=lidskii", name, marked_volume(me.mp), lidskii_volume(dn.network))
@@ -255,7 +266,7 @@ def verify_transform() -> list[dict]:
     return out
 
 
-def verify_subdivision(amax: int = 3) -> list[dict]:
+def verify_subdivision(amax: int = 3, skipped=None) -> list[dict]:
     """Reduction-tree volume conservation, subdivision cell pairing, and the
     flow-to-extension bijection on single-sink fixtures."""
     out = []
@@ -271,10 +282,13 @@ def verify_subdivision(amax: int = 3) -> list[dict]:
         )
     for name, me in corpus.embeddings():
         if any(f != "L" for f in me.flags):
+            reason = f"flags {''.join(me.flags)}: the check runs on left-flagged embeddings"
+            skip(skipped, "subdivision/cell-pairing", name, reason)
             continue
         try:
             report = full_subdivision_check(me)
-        except DegenerateMarkingError:
+        except DegenerateMarkingError as exc:
+            skip(skipped, "subdivision/cell-pairing", name, exc)
             continue
         out.append(record("subdivision/cell-pairing", name, True, report.ok))
     for name, me in corpus.single_sink_embeddings():
@@ -297,6 +311,7 @@ def verify_subdivision(amax: int = 3) -> list[dict]:
 def run_verify(scope: str = "all", bounds: dict | None = None, seed: int = 0) -> dict:
     bounds = bounds or {}
     records = []
+    skipped: list[dict] = []
     warnings = []
     if not corpus.networks() or not corpus.embeddings():
         warnings.append("corpus is empty; trivial pass")
@@ -306,15 +321,17 @@ def run_verify(scope: str = "all", bounds: dict | None = None, seed: int = 0) ->
     if scope in ("flow", "all"):
         records += verify_flow(bounds.get("tmax", 3))
     if scope in ("poset", "all"):
-        records += verify_poset(bounds.get("mmax", 3), bounds.get("trials", 100), seed)
+        records += verify_poset(bounds.get("mmax", 3), bounds.get("trials", 100), seed, skipped)
     if scope in ("transform", "all"):
-        records += verify_transform()
+        records += verify_transform(skipped)
     if scope in ("subdivision", "all"):
-        records += verify_subdivision(bounds.get("amax", 3))
+        records += verify_subdivision(bounds.get("amax", 3), skipped)
     records.sort(key=lambda r: (r["identity"], r["instance"]))
+    skipped.sort(key=lambda r: (r["identity"], r["instance"]))
     return {
         "scope": scope,
         "warnings": warnings,
         "results": records,
         "pass": all(r["pass"] for r in records),
+        "skipped": skipped,
     }

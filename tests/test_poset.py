@@ -376,3 +376,119 @@ def test_reserved_hat_ids_raise_in_both_hat_paths():
     me = MarkedEmbedding.make(mp, [(SENTINEL, chain), (chain, SENTINEL)])
     with pytest.raises(PosetError, match="reserved"):
         me.hat_poset
+
+
+def _dfs_below(elements, relations):
+    """Strictly-below sets, by depth-first search down the given relations."""
+    downs = {e: [p for p, q in relations if q == e] for e in elements}
+    below = {}
+    for e in elements:
+        seen, stack = set(), list(downs[e])
+        while stack:
+            d = stack.pop()
+            if d not in seen:
+                seen.add(d)
+                stack += downs[d]
+        below[e] = seen
+    return below
+
+
+def _brute_extensions(elements, below):
+    """Every order-reversing listing, by backtracking over sets, in
+    lexicographic order."""
+    out = []
+
+    def rec(prefix, rest):
+        if not rest:
+            out.append(tuple(prefix))
+        for e in rest:
+            if not any(e in below[o] for o in rest):
+                rec(prefix + [e], rest - {e})
+
+    rec([], frozenset(elements))
+    return sorted(out)
+
+
+def _brute_count(elements, below):
+    memo = {}
+
+    def count(rest):
+        if not rest:
+            return 1
+        if rest not in memo:
+            memo[rest] = sum(count(rest - {e}) for e in rest if not any(e in below[o] for o in rest))
+        return memo[rest]
+
+    return count(frozenset(elements))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.data())
+def test_poset_queries_match_a_dfs_closure(data):
+    # a random DAG: relations point forward along a hidden ranking
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    elements = sorted("abcdefgh"[:n])
+    ranked = data.draw(st.permutations(elements))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    relations = {(ranked[a], ranked[b]) for a, b in data.draw(st.lists(pair, max_size=14)) if a < b}
+    below = _dfs_below(elements, relations)
+    covers = sorted(
+        (p, q) for q in elements for p in below[q] if not any(p in below[z] for z in below[q])
+    )
+    P = Poset.from_covers(elements, covers)
+    assert P.covers == tuple(covers)
+    for a in elements:
+        for b in elements:
+            assert P.lt(a, b) == (a in below[b])
+            assert P.leq(a, b) == (a == b or a in below[b])
+            assert P.comparable(a, b) == (a == b or a in below[b] or b in below[a])
+        assert P.up_covers(a) == tuple(q for p, q in covers if p == a)
+        assert P.down_covers(a) == tuple(p for p, q in covers if q == a)
+    assert P.maximal_elements() == tuple(e for e in elements if not any(e in below[o] for o in elements))
+    assert P.minimal_elements() == tuple(e for e in elements if not below[e])
+    # Kahn's order, smallest available name first
+    placed, order = set(), []
+    while len(order) < n:
+        e = min(x for x in elements if x not in placed and below[x] <= placed)
+        placed.add(e)
+        order.append(e)
+    assert P.topo_order == tuple(order)
+
+    # added relations: the closure of the union, or a cycle
+    extra = []
+    if n >= 2:
+        named = st.tuples(st.sampled_from(elements), st.sampled_from(elements))
+        extra = data.draw(st.lists(named.filter(lambda r: r[0] != r[1]), max_size=3))
+    wider = _dfs_below(elements, relations | set(extra))
+    if any(e in wider[e] for e in elements):
+        with pytest.raises(PosetError, match="added relations create a cycle"):
+            P.with_relations(extra)
+    else:
+        W = P.with_relations(extra)
+        assert W.covers == tuple(
+            sorted((p, q) for q in elements for p in wider[q] if not any(p in wider[z] for z in wider[q]))
+        )
+        assert all(W.lt(a, b) == (a in wider[b]) for a in elements for b in elements)
+
+    assert P.count_linear_extensions() == _brute_count(elements, below)
+    if n <= 6:
+        brute = _brute_extensions(elements, below)
+        assert list(P.linear_extensions()) == brute
+        veto = set()
+        if n:
+            veto = data.draw(st.sets(st.tuples(st.integers(1, n), st.sampled_from(elements)), max_size=4))
+        kept = [x for x in brute if not any((i + 1, e) in veto for i, e in enumerate(x))]
+        assert list(P.linear_extensions(position_filter=lambda pos, e: (pos, e) not in veto)) == kept
+
+    # a redundant cover, a cycle and an unknown element still raise
+    longer = [(p, q) for q in elements for p in below[q] if (p, q) not in covers]
+    if longer:
+        p, q = longer[0]
+        with pytest.raises(PosetError, match=rf"^redundant cover \({p},{q}\)$"):
+            Poset.from_covers(elements, covers + [(p, q)])
+    if covers:
+        p, q = covers[0]
+        with pytest.raises(PosetError, match="^cover relation has a cycle$"):
+            Poset.from_covers(elements, covers + [(q, p)])
+        with pytest.raises(PosetError, match=rf"^cover \({p},z\) references unknown element$"):
+            Poset.from_covers(elements, covers + [(p, "z")])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtflow import subdivision
+from gtflow import corpus, subdivision
 from gtflow.combinat import enumerate_compositions
 from gtflow.flow import (
     FlowError,
@@ -14,12 +14,13 @@ from gtflow.flow import (
     simplify,
 )
 from gtflow.gt import build_G_lambda, gt_embedding, gt_volume_product
-from gtflow.poset import MarkedPoset, Poset, count_marked_extensions, marked_volume
+from gtflow.poset import MarkedPoset, Poset, count_marked_extensions, lattice_points, marked_volume
 from gtflow.subdivision import (
     DegenerateMarkingError,
     NoncrossingTree,
     canonical_reduction_tree,
     compound_reduce,
+    compound_reductions,
     enumerate_noncrossing_trees,
     face_extensions,
     full_subdivision_check,
@@ -314,24 +315,110 @@ def test_face_order_naturality():
 @pytest.mark.parametrize("tamper", ["add-outside-point", "drop-point"])
 def test_full_subdivision_check_flags_tampered_cell_points(monkeypatch, tamper):
     me = gt_embedding((3, 1, 0))
-    free = next(e for e in me.mp.poset.elements if e not in me.mp.marking)
-    real = subdivision.lattice_points
+    elements = me.mp.poset.elements
+    free = next(i for i, e in enumerate(elements) if e not in me.mp.marking)
+    real = subdivision._cell_points
+    calls = []
 
-    def tampered(mp):
-        pts = real(mp)
-        if mp == me.mp:
-            return pts
+    def tampered(parent, child):
+        pts = real(parent, child)
+        calls.append(child)
         if tamper == "drop-point":
             return pts[:-1]
-        return pts + [{**pts[0], free: 99}]
+        return pts + (pts[0][:free] + (99,) + pts[0][free + 1 :],)
 
-    monkeypatch.setattr(subdivision, "lattice_points", tampered)
+    monkeypatch.setattr(subdivision, "_cell_points", tampered)
     report = full_subdivision_check(me)
+    assert calls
     assert not report.lattice_matches
     assert report.volumes_match
+
+
+def _accepted_embeddings():
+    """The corpus embeddings full_subdivision_check runs on, and one n = 4
+    GT embedding."""
+    out = [("gt-3-2-1-0", gt_embedding((3, 2, 1, 0)))]
+    for name, me in corpus.embeddings():
+        if all(f == "L" for f in me.flags):
+            try:
+                subdivision._simplified_dual_state(me)
+            except DegenerateMarkingError:
+                continue
+            out.append((name, me))
+    return out
+
+
+def test_carried_cell_points_equal_a_fresh_search(monkeypatch):
+    # lattice_points is the independent oracle: it searches each cell again
+    cells = []
+    real = subdivision._cell_points
+
+    def spy(parent, child):
+        pts = real(parent, child)
+        cells.append((child.me.mp, pts))
+        return pts
+
+    monkeypatch.setattr(subdivision, "_cell_points", spy)
+    checked = set()
+    for name, me in _accepted_embeddings():
+        cells.clear()
+        assert full_subdivision_check(me).ok, name
+        elements = me.mp.poset.elements
+        for mp, pts in cells:
+            assert mp.poset.elements == elements
+            fresh = sorted(tuple(x[e] for e in elements) for x in lattice_points(mp))
+            assert sorted(pts) == fresh, name
+        if cells:
+            checked.add(name)
+    assert "gt-3-2-1-0" in checked and len(checked) >= 5
+
+
+def _reductions(make):
+    try:
+        return [(child.to_json(), old_to_new, pairs) for child, old_to_new, pairs in make()]
+    except FlowError as exc:
+        return str(exc)
+
+
+def test_compound_reductions_match_one_tree_at_a_time():
+    nets = [g for _, g in corpus.networks()] + [build_G_lambda((4, 3, 2, 1, 0)).network]
+    checked = 0
+    for g in nets:
+        for v in range(g.num_vertices):
+            if g.netflow[v] != 0:
+                continue
+            if not g.indeg(v) or not g.outdeg(v):
+                tree = NoncrossingTree.from_composition((0,))
+                assert _reductions(lambda: compound_reductions(g, v, (tree,))) == _reductions(
+                    lambda: [compound_reduce(g, v, tree)]
+                )
+                continue
+            trees = enumerate_noncrossing_trees(g.indeg(v), g.outdeg(v))
+            together = _reductions(lambda: compound_reductions(g, v, trees))
+            assert together == _reductions(lambda: [compound_reduce(g, v, t) for t in trees])
+            assert len(together) == len(trees)
+            checked += 1
+    assert checked >= 20
 
 
 def test_full_subdivision_check_rejects_degenerate_markings():
     # verify_subdivision skips exactly this error; other failures propagate
     with pytest.raises(DegenerateMarkingError):
         full_subdivision_check(gt_embedding((2, 2, 0)))
+
+
+def test_verify_lists_the_subdivision_skips_with_reasons():
+    from gtflow.verify import run_verify
+
+    report = run_verify("subdivision", {"amax": 1})
+    assert report["pass"]
+    skipped = {s["instance"]: s for s in report["skipped"]}
+    assert set(skipped) == {"gt-2-2-0", "skew-21-10"}
+    assert {s["identity"] for s in skipped.values()} == {"subdivision/cell-pairing"}
+    assert skipped["gt-2-2-0"]["reason"] == (
+        "degenerate markings: equal consecutive boundary marks prune gap sources"
+    )
+    assert skipped["skew-21-10"]["reason"] == "flags RLRL: the check runs on left-flagged embeddings"
+    # a skip is not a pass: neither instance has a cell-pairing record
+    pairing = {r["instance"] for r in report["results"] if r["identity"] == "subdivision/cell-pairing"}
+    assert pairing and not pairing & set(skipped)
