@@ -29,7 +29,7 @@ from .gt import (
 )
 from .subdivision import canonical_reduction_tree, leaves_to_extensions, reduction_tree_volume
 from .transform import MarkedEmbedding, build_G_PAlambda, build_skew_flow, enumerate_skew_points
-from .verify import run_verify
+from .verify import DEFAULT_BOUNDS, run_verify
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
@@ -40,10 +40,17 @@ def _parse_ints(s: str) -> tuple[int, ...]:
 
 def _parse_bounds(s: str) -> dict:
     out = {}
-    if s:
-        for item in s.split(","):
-            k, v = item.split("=")
-            out[k.strip()] = int(v)
+    for item in s.split(",") if s else ():
+        k, _, v = item.partition("=")
+        k = k.strip()
+        if k not in DEFAULT_BOUNDS:
+            raise ValueError(f"--bounds item {item!r}: no bound {k!r}; choose from {', '.join(DEFAULT_BOUNDS)}")
+        try:
+            out[k] = int(v)
+        except ValueError:
+            raise ValueError(f"--bounds item {item!r} is not {k}=<integer>") from None
+        if out[k] < 0:
+            raise ValueError(f"--bounds item {item!r} is negative")
     return out
 
 
@@ -221,14 +228,13 @@ def _embedding_dot(me: MarkedEmbedding) -> str:
     """Hasse diagram with the dual edges overlaid: each cover carries the
     crossing dual edge as an attribute."""
     dn = build_G_PAlambda(me)
-    crossing_of = {cov: i for i, cov in enumerate(dn.crossings)}
     lines = ["digraph embedding {", "  rankdir=BT;"]
     lam = me.extended_marking
     for e in me.hat_poset.elements:
         mark = f" = {lam[e]}" if e in lam else ""
         lines.append(f'  "{e}" [label="{e}{mark}"];')
     for (p, q) in me.hat_poset.covers:
-        i = crossing_of[(p, q)]
+        i = dn.edge_of_cover[(p, q)]
         u, v = dn.network.edges[i]
         dual = f"{dn.network.name(u)}->{dn.network.name(v)}"
         lines.append(f'  "{p}" -> "{q}" [dual="{dual}"];')
@@ -294,7 +300,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the identity suites")
     p.add_argument("--scope", choices=["gt", "flow", "poset", "transform", "subdivision", "all"], default="all")
-    p.add_argument("--bounds", help="e.g. n=3,lmax=3,bmax=3,tmax=3,mmax=3,amax=3")
+    defaults = ",".join(f"{k}={v}" for k, v in DEFAULT_BOUNDS.items())
+    p.add_argument("--bounds", help=f"comma-separated nonnegative ints; the defaults are {defaults}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
@@ -310,7 +317,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # FlowError, PosetError and EmbeddingError included
+    except (ValueError, OSError) as exc:  # FlowError, PosetError and EmbeddingError included
         print(f"gtflow: {exc}", file=sys.stderr)
         return 2
 

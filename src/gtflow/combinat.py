@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 Rational = Fraction
 
@@ -320,47 +320,27 @@ def count_N(n: int, b) -> int:
 # semistandard Young tableaux (counting oracle only)
 
 
-@dataclass(frozen=True)
-class SemistandardTableau:
-    shape: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if tuple(len(r) for r in self.rows) != self.shape:
-            raise ValueError("rows do not match shape")
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                if c + 1 < len(row) and not v <= row[c + 1]:
-                    raise ValueError("rows must weakly increase")
-                if r + 1 < len(self.rows) and c < len(self.rows[r + 1]):
-                    if not v < self.rows[r + 1][c]:
-                        raise ValueError("columns must strictly increase")
-
-
-def enumerate_ssyt(shape, alphabet: int) -> Iterator[SemistandardTableau]:
-    shape = as_partition(shape)
-    shape = tuple(p for p in shape if p > 0)
-    if not shape:
-        yield SemistandardTableau((), ())
-        return
-    rows: list[list[int]] = [[0] * p for p in shape]
-
-    def rec(r: int, c: int):
-        if r == len(shape):
-            yield SemistandardTableau(shape, tuple(tuple(row) for row in rows))
-            return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, alphabet + 1):
-            rows[r][c] = v
-            yield from rec(nr, nc)
-
-    yield from rec(0, 0)
-
-
 def count_ssyt(shape, alphabet: int) -> int:
-    return sum(1 for _ in enumerate_ssyt(shape, alphabet))
+    """Semistandard tableaux of the given shape with entries in 1..alphabet,
+    counted by filling the cells row-major; no tableau is kept."""
+    shape = tuple(p for p in as_partition(shape) if p > 0)
+    # per cell, its largest entry: one that leaves room for the column below
+    cells = [
+        (r, c, alphabet + r + 1 - sum(q > c for q in shape)) for r, p in enumerate(shape) for c in range(p)
+    ]
+    rows = [[0] * p for p in shape]
+
+    def rec(k: int) -> int:
+        if k == len(cells):
+            return 1
+        r, c, hi = cells[k]
+        lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        if k == len(cells) - 1:  # the last cell takes any value from lo to hi
+            return max(hi + 1 - lo, 0)
+        total = 0
+        for v in range(lo, hi + 1):
+            rows[r][c] = v
+            total += rec(k + 1)
+        return total
+
+    return rec(0)

@@ -128,12 +128,6 @@ class FlowNetwork:
             self.num_vertices, self.edges, b, self.in_orders, self.out_orders, self.names
         )
 
-    def reordered_edges(self, perm) -> "FlowNetwork":
-        """Same network with the edge list permuted (perm[new] = old)."""
-        perm = tuple(perm)
-        edges = tuple(self.edges[i] for i in perm)
-        return FlowNetwork.make(self.num_vertices, edges, self.netflow, names=self.names)
-
     def check_flow(self, f) -> bool:
         f = tuple(f)
         if len(f) != len(self.edges) or any(x < 0 for x in f):

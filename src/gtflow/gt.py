@@ -151,10 +151,6 @@ class GTNetwork:
     def edge_index(self) -> dict[tuple, int]:
         return {lab: k for k, lab in enumerate(self.edge_labels)}
 
-    @cached_property
-    def vertex_index(self) -> dict[tuple[int, int], int]:
-        return {c: k for k, c in enumerate(self.vertex_cells)}
-
 
 def canonical_gt_vertices(n: int) -> list[tuple[int, int]]:
     group1 = [(i, j) for i in range(2, n + 1) for j in range(i, n + 1)]
@@ -415,11 +411,3 @@ def gt_embedding(lam) -> MarkedEmbedding:
     faces.append(Face.make(east, SENTINEL))
     ids.append("Fs")
     return MarkedEmbedding.make(mp, faces, face_ids=ids)
-
-
-def gt_pattern_from_point(lam, point: dict) -> GTPattern:
-    n = len(as_partition(lam))
-    rows = tuple(
-        tuple(point[cell_id(i, j)] for j in range(i, n + 1)) for i in range(1, n + 1)
-    )
-    return GTPattern(rows)

@@ -115,12 +115,6 @@ class Poset:
     def lt(self, p: str, q: str) -> bool:
         return bool(self._below[q] & self._bit[p])
 
-    def leq(self, p: str, q: str) -> bool:
-        return p == q or self.lt(p, q)
-
-    def comparable(self, p: str, q: str) -> bool:
-        return p == q or self.lt(p, q) or self.lt(q, p)
-
     def up_covers(self, p: str) -> tuple[str, ...]:
         return self._cover_tuples[0][p]
 
@@ -307,15 +301,6 @@ class MarkedPoset:
     @staticmethod
     def from_json(data: dict) -> "MarkedPoset":
         return MarkedPoset.make(Poset.from_json(data), data.get("marked", {}))
-
-
-def validate_marked_poset(mp: MarkedPoset) -> bool:
-    """True iff all marked-poset invariants hold; False (not raise) otherwise."""
-    try:
-        mp.validate()
-        return True
-    except PosetError:
-        return False
 
 
 def hat_poset(p: Poset) -> Poset:
@@ -596,9 +581,3 @@ def check_log_concavity(mp: MarkedPoset) -> list[tuple[tuple[int, ...], int]]:
             if N(a) ** 2 < N(up) * N(dn):
                 bad.append((a, j))
     return bad
-
-
-def order_polynomial_check(p: Poset, m: int) -> bool:
-    """Count lattice points of the m-dilated order polytope two ways."""
-    mp = make_order_polytope_mp(p, Fraction(0), Fraction(m))
-    return len(lattice_points(mp)) == p.order_polynomial(m)

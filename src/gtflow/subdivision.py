@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import binomial, enumerate_compositions, finite_difference
+from .combinat import enumerate_compositions, finite_difference
 from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
 from .poset import BOTTOM, TOP, MarkedPoset, PosetError, lattice_points, marked_volume
 from .transform import (
@@ -90,9 +90,6 @@ class NoncrossingTree:
         for t, _ in self.edges:
             degs[t] += 1
         return tuple(d - 1 for d in degs)
-
-    def left_degrees(self) -> tuple[int, ...]:
-        return tuple(c + 1 for c in self.to_composition())
 
 
 @lru_cache(maxsize=64)
@@ -218,10 +215,6 @@ class ReductionTree:
     def leaf_networks(self) -> list[FlowNetwork]:
         return [self.nodes[i].network for i in self.leaves()]
 
-    def include_flow(self, node_index: int, flow) -> tuple[int, ...]:
-        """Express a flow on a node's network in the root's edge coordinates."""
-        return _root_point(flow, self.nodes[node_index].inclusion, len(self.root.network.edges))
-
     def to_json(self) -> dict:
         return {
             "nodes": [
@@ -322,13 +315,14 @@ def interior_sample_disjoint(tree: ReductionTree, dilation: int = 2) -> bool:
     """Interior lattice points of the dilated leaf cells, pushed into root
     coordinates, must not collide across distinct leaves."""
     seen: dict[tuple, int] = {}
+    m = len(tree.root.network.edges)
     for li in tree.leaves():
         net = tree.nodes[li].network
         scaled = net.with_netflow(tuple(dilation * x for x in net.netflow))
         for f in enumerate_integer_flows(scaled):
             if any(x < 1 for x in f):
                 continue
-            point = tree.include_flow(li, f)
+            point = _root_point(f, tree.nodes[li].inclusion, m)
             if point in seen and seen[point] != li:
                 return False
             seen[point] = li
@@ -379,20 +373,6 @@ def sigma_from_tree(face: Face, tree: NoncrossingTree) -> tuple[str, ...]:
     return tuple(sigma)
 
 
-def gamma_cells(me: MarkedEmbedding, face_id: str) -> list[tuple[NoncrossingTree, tuple[str, ...]]]:
-    """The bijection between noncrossing trees at v_F and the linear
-    extensions replacing F."""
-    fi = me.face_ids.index(face_id)
-    face = me.faces[fi]
-    pairs = []
-    for tree in enumerate_noncrossing_trees(len(face.right) - 1, len(face.left) - 1):
-        pairs.append((tree, sigma_from_tree(face, tree)))
-    sigmas = {s for _, s in pairs}
-    if sigmas != set(face_extensions(face)):
-        raise EmbeddingError("gamma is not onto the face extensions")
-    return pairs
-
-
 def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> MarkedEmbedding:
     """Replace the face by the given linear order of its elements, rerouting
     the neighbouring boundary chains through the new chain."""
@@ -438,19 +418,6 @@ def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> Marked
         raise EmbeddingError("subdivision destroyed a cover outside the face")
     child.validate()
     return child
-
-
-def subdivide_marked_face(me: MarkedEmbedding, face_id: str) -> list[MarkedEmbedding]:
-    """All face-replacement children of the embedding at the given face."""
-    fi = me.face_ids.index(face_id)
-    face = me.faces[fi]
-    k, l = len(face.left), len(face.right)
-    exts = face_extensions(face)
-    if len(exts) != binomial(k + l - 4, l - 2):
-        raise EmbeddingError(
-            f"face {face_id} has {len(exts)} extensions, not binom({k + l - 4}, {l - 2})"
-        )
-    return [subdivide_with_extension(me, face_id, s) for s in exts]
 
 
 # ---------------------------------------------------------------------------

@@ -216,14 +216,6 @@ class MarkedEmbedding:
             raise EmbeddingError(f"embedding JSON has a value of the wrong shape: {exc}") from exc
 
 
-def validate_embedding(me: MarkedEmbedding) -> bool:
-    try:
-        me.validate()
-        return True
-    except (EmbeddingError, PosetError):
-        return False
-
-
 # ---------------------------------------------------------------------------
 # dual network construction
 
@@ -252,10 +244,6 @@ class DualNetwork:
     @cached_property
     def gap_bound_map(self) -> dict[tuple, tuple[str, str]]:
         return dict(self.gap_bounds)
-
-    @cached_property
-    def vertex_index(self) -> dict[tuple, int]:
-        return {k: i for i, k in enumerate(self.vertex_keys)}
 
     @cached_property
     def hat_marks(self) -> tuple:
@@ -445,14 +433,6 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
             marks = processed[k[1]]["marks"]
             gap_bounds.append((k, (marks[k[2]], marks[k[2] + 1])))
     return DualNetwork(me, network, keys, tuple(crossings), tuple(gap_bounds))
-
-
-def build_G_P(p: Poset, faces, face_ids=None, hat_values=(0, 1)) -> DualNetwork:
-    """Dual network of an unmarked strongly planar poset: netflow +1 at the
-    source on the right, -1 at the sink on the left, 0 elsewhere."""
-    mp = MarkedPoset.make(p, {})
-    me = MarkedEmbedding.make(mp, faces, face_ids=face_ids, hat_values=hat_values)
-    return build_G_PAlambda(me)
 
 
 # ---------------------------------------------------------------------------

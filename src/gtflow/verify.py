@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from . import corpus
-from .combinat import count_N, enumerate_compositions, finite_difference, walk_shsyt
+from .combinat import binomial, count_N, count_ssyt, enumerate_compositions, finite_difference, walk_shsyt
 from .flow import (
     FlowError,
     check_lidskii_preconditions,
@@ -28,9 +28,7 @@ from .gt import (
     build_G_lambda,
     enumerate_gt_points,
     flow_to_shsyt,
-    gt_points_lidskii,
     gt_to_flow,
-    gt_volume_lidskii,
     gt_volume_product,
     gt_volume_shsyt,
     shifted_netflow,
@@ -50,13 +48,20 @@ from .poset import (
 from .subdivision import (
     DegenerateMarkingError,
     canonical_reduction_tree,
+    enumerate_noncrossing_trees,
+    face_extensions,
     full_subdivision_check,
+    interior_sample_disjoint,
     leaves_to_extensions,
     reduction_tree_volume,
+    sigma_from_tree,
 )
-from .transform import build_G_PAlambda, gamma, gamma_inverse
+from .transform import SENTINEL, build_G_PAlambda, gamma, gamma_inverse
 
 SCOPES = ("gt", "flow", "poset", "transform", "subdivision")
+
+# every bound `run_verify` reads, with its default
+DEFAULT_BOUNDS = {"n": 3, "lmax": 3, "bmax": 3, "tmax": 3, "mmax": 3, "trials": 100, "amax": 3}
 
 
 def _fmt(x) -> str:
@@ -95,19 +100,20 @@ def partitions(max_n: int, max_part: int):
 
 
 def verify_gt(nmax: int = 4, lmax: int = 4) -> list[dict]:
-    """The five-formula identity chain for GT volumes and point counts."""
+    """The five-formula identity chain for GT volumes and point counts, and
+    the point count against the semistandard tableaux it counts."""
     out = []
     for lam in partitions(nmax, lmax):
+        net = build_G_lambda(lam).network
         v1 = gt_volume_product(lam)
         out.append(record("gt/vol:product=shsyt", lam, v1, gt_volume_shsyt(lam)))
-        out.append(record("gt/vol:product=lidskii", lam, v1, gt_volume_lidskii(lam)))
+        out.append(record("gt/vol:product=lidskii", lam, v1, lidskii_volume(net)))
         pts = weyl_dimension(lam)
-        out.append(record("gt/pts:weyl=lidskii", lam, pts, gt_points_lidskii(lam)))
+        out.append(record("gt/pts:weyl=lidskii", lam, pts, lidskii_points_binomial(net)))
         out.append(record("gt/pts:weyl=enumeration", lam, pts, len(enumerate_gt_points(lam))))
+        out.append(record("gt/pts:weyl=ssyt", lam, pts, count_ssyt(lam, len(lam))))
         if len(lam) >= 2:
-            out.append(
-                record("gt/pts:weyl=kostant", lam, pts, kostant(build_G_lambda(lam).network))
-            )
+            out.append(record("gt/pts:weyl=kostant", lam, pts, kostant(net)))
     # injectivity of the pattern -> flow map at a desk-scale instance
     lam = (min(lmax, 2), 1, 0) if nmax >= 3 else (1, 0)
     pts = enumerate_gt_points(lam)
@@ -179,14 +185,9 @@ def verify_flow(tmax: int = 3) -> list[dict]:
         out.append(record("lidskii/ehrhart-degree", name, 0, finite_difference(counts)))
         for t in range(1, tmax + 1):
             gt_net = g.with_netflow(tuple(t * x for x in g.netflow))
-            out.append(
-                record(
-                    "lidskii/dilation=enumeration",
-                    f"{name}@t={t}",
-                    len(enumerate_integer_flows(gt_net)),
-                    lidskii_points_binomial(gt_net),
-                )
-            )
+            lidskii = counts[t] if t < len(counts) else lidskii_points_binomial(gt_net)
+            direct = len(enumerate_integer_flows(gt_net))
+            out.append(record("lidskii/dilation=enumeration", f"{name}@t={t}", direct, lidskii))
     return out
 
 
@@ -267,8 +268,10 @@ def verify_transform(skipped=None) -> list[dict]:
 
 
 def verify_subdivision(amax: int = 3, skipped=None) -> list[dict]:
-    """Reduction-tree volume conservation, subdivision cell pairing, and the
-    flow-to-extension bijection on single-sink fixtures."""
+    """Reduction-tree volume conservation and disjoint cell interiors, the
+    extensions of each inner face against their count and the noncrossing
+    trees, subdivision cell pairing, and the flow-to-extension bijection on
+    single-sink fixtures."""
     out = []
     for name, g in corpus.networks():
         tree = canonical_reduction_tree(g)
@@ -280,6 +283,19 @@ def verify_subdivision(amax: int = 3, skipped=None) -> list[dict]:
                 reduction_tree_volume(tree),
             )
         )
+        out.append(record("subdivision/interior-disjoint", name, True, interior_sample_disjoint(tree)))
+    for name, me in corpus.embeddings():
+        for face_id, face in zip(me.face_ids, me.faces):
+            if SENTINEL in (face.left, face.right):
+                continue
+            instance = f"{name}:{face_id}"
+            k, l = len(face.left), len(face.right)
+            exts = face_extensions(face)
+            count = binomial(k + l - 4, l - 2)
+            out.append(record("subdivision/face-extensions=binomial", instance, count, len(exts)))
+            sigmas = [sigma_from_tree(face, t) for t in enumerate_noncrossing_trees(l - 1, k - 1)]
+            bijective = len(set(sigmas)) == len(sigmas) and set(sigmas) == set(exts)
+            out.append(record("subdivision/trees=face-extensions", instance, True, bijective))
     for name, me in corpus.embeddings():
         if any(f != "L" for f in me.flags):
             reason = f"flags {''.join(me.flags)}: the check runs on left-flagged embeddings"
@@ -309,23 +325,23 @@ def verify_subdivision(amax: int = 3, skipped=None) -> list[dict]:
 
 
 def run_verify(scope: str = "all", bounds: dict | None = None, seed: int = 0) -> dict:
-    bounds = bounds or {}
+    bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
     records = []
     skipped: list[dict] = []
     warnings = []
     if not corpus.networks() or not corpus.embeddings():
         warnings.append("corpus is empty; trivial pass")
     if scope in ("gt", "all"):
-        records += verify_gt(bounds.get("n", 3), bounds.get("lmax", 3))
-        records += verify_bijection(bounds.get("n", 3), bounds.get("bmax", 3))
+        records += verify_gt(bounds["n"], bounds["lmax"])
+        records += verify_bijection(bounds["n"], bounds["bmax"])
     if scope in ("flow", "all"):
-        records += verify_flow(bounds.get("tmax", 3))
+        records += verify_flow(bounds["tmax"])
     if scope in ("poset", "all"):
-        records += verify_poset(bounds.get("mmax", 3), bounds.get("trials", 100), seed, skipped)
+        records += verify_poset(bounds["mmax"], bounds["trials"], seed, skipped)
     if scope in ("transform", "all"):
         records += verify_transform(skipped)
     if scope in ("subdivision", "all"):
-        records += verify_subdivision(bounds.get("amax", 3), skipped)
+        records += verify_subdivision(bounds["amax"], skipped)
     records.sort(key=lambda r: (r["identity"], r["instance"]))
     skipped.sort(key=lambda r: (r["identity"], r["instance"]))
     return {

@@ -210,3 +210,37 @@ def test_reserved_hat_id_in_an_embedding_gives_one_line_and_exit_2(tmp_path, cap
     fe.write_text(json.dumps(data))
     assert main(["poset2flow", "--embedding", str(fe)]) == 2
     assert capsys.readouterr().err == "gtflow: element ids 0hat/1hat are reserved\n"
+
+
+def test_unreadable_input_file_gives_one_line_and_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.network.json"
+    assert main(["kostant", "--network", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gtflow: ") and str(missing) in err and err.count("\n") == 1
+
+
+def test_unwritable_output_file_gives_one_line_and_exit_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "dim.txt"
+    assert main(["gt", "dim", "2,1,0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gtflow: ") and str(out) in err and err.count("\n") == 1
+
+
+def test_unknown_bound_gives_one_line_and_exit_2(capsys):
+    assert main(["verify", "--bounds", "n=2,q=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gtflow: --bounds item 'q=2': no bound 'q'; choose from n, lmax, bmax, tmax, mmax, trials, amax\n"
+    )
+
+
+def test_malformed_bound_gives_one_line_and_exit_2(capsys):
+    for item in ("n", "n=two"):
+        assert main(["verify", "--bounds", item]) == 2
+        assert capsys.readouterr().err == f"gtflow: --bounds item {item!r} is not n=<integer>\n"
+
+
+def test_negative_bound_gives_one_line_and_exit_2(capsys):
+    assert main(["verify", "--scope", "gt", "--bounds", "n=-1"]) == 2
+    assert capsys.readouterr().err == "gtflow: --bounds item 'n=-1' is negative\n"

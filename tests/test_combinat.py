@@ -14,7 +14,6 @@ from gtflow.combinat import (
     enumerate_compositions,
     enumerate_shsyt,
     enumerate_shsyt_corner_oracle,
-    enumerate_ssyt,
     finite_difference,
     multiset_binomial,
 )
@@ -275,11 +274,9 @@ def test_count_ssyt_examples():
     assert count_ssyt((1,), 3) == 3
     assert count_ssyt((2, 1), 3) == 8
     assert count_ssyt((), 5) == 1
-
-
-def test_enumerate_ssyt_validates():
-    for t in enumerate_ssyt((2, 1), 3):
-        pass  # construction runs the invariant checks
+    assert count_ssyt((2, 2), 2) == 1  # columns must strictly increase
+    assert count_ssyt((1, 1, 1), 2) == 0
+    assert count_ssyt((3, 1, 0), 0) == 0
 
 
 @given(

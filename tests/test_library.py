@@ -1,6 +1,7 @@
 """Rules that hold for the library source as a whole."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gtflow
@@ -31,3 +32,43 @@ def test_library_raises_its_own_errors_not_assertion_error():
         if isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
     ]
     assert found == []
+
+
+# A reference oracle that tests compare the library against; nothing in the
+# library calls it, by design.
+_UNREACHED_BY_DESIGN = {"combinat.enumerate_shsyt_corner_oracle"}
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _public_definitions():
+    """(qualified name, definition) for every public top-level function and
+    class of the library and every public method of such a class."""
+    for path in sorted(Path(gtflow.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def test_every_public_name_is_reached_from_the_library():
+    # a public name is used by the library (or the benchmark harness, which
+    # drives it as a user would) somewhere outside its own definition
+    callers = sorted(Path(gtflow.__file__).parent.glob("*.py"))
+    callers += sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
+    uses = Counter(name for path in callers for name in _identifiers(ast.parse(path.read_text())))
+    unreached = [
+        qualified
+        for qualified, node in _public_definitions()
+        if qualified not in _UNREACHED_BY_DESIGN
+        and uses[node.name] == Counter(_identifiers(node))[node.name]
+    ]
+    assert unreached == [], "\n".join(unreached)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,12 +25,11 @@ from gtflow.subdivision import (
     enumerate_noncrossing_trees,
     face_extensions,
     full_subdivision_check,
-    gamma_cells,
     interior_sample_disjoint,
     leaves_to_extensions,
     reduction_tree_volume,
     sigma_from_tree,
-    subdivide_marked_face,
+    subdivide_with_extension,
 )
 from gtflow.transform import SENTINEL, Face, MarkedEmbedding
 
@@ -53,7 +53,7 @@ def test_noncrossing_tree_composition_round_trip():
 def test_noncrossing_tree_worked_example():
     t = NoncrossingTree.from_composition((0, 2, 1, 1))
     assert t.left == 4 and t.right == 5
-    assert t.left_degrees() == (1, 3, 2, 2)
+    assert t.to_composition() == (0, 2, 1, 1)  # left degrees 1, 3, 2, 2
 
 
 def test_star_tree():
@@ -169,6 +169,18 @@ def test_interior_sample_disjoint():
     assert interior_sample_disjoint(canonical_reduction_tree(build_G_lambda((2, 1, 0)).network))
 
 
+def test_interior_sample_disjoint_catches_overlapping_cells():
+    g = dict(corpus.networks())["double-rail"]
+    tree = canonical_reduction_tree(g)
+    assert interior_sample_disjoint(tree)
+    leaf = tree.nodes[tree.leaves()[0]]
+    # a second leaf with the same cell: a separate node, so its points
+    # collide with the first leaf's under another leaf index
+    tree.nodes.append(dataclasses.replace(leaf))
+    tree.children[leaf.parent].append(len(tree.nodes) - 1)
+    assert not interior_sample_disjoint(tree)
+
+
 def _root_vertex(tree, ni, u):
     """The root vertex that vertex u of node ni descends from."""
     node = tree.nodes[ni]
@@ -189,7 +201,7 @@ def test_inclusions_are_root_paths():
                 assert all(a[1] == b[0] for a, b in zip(walk, walk[1:]))
         for li in tree.leaves():
             for f in enumerate_integer_flows(tree.nodes[li].network):
-                assert g.check_flow(tree.include_flow(li, f))
+                assert g.check_flow(subdivision._root_point(f, tree.nodes[li].inclusion, len(g.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +229,11 @@ def gamma_cells_fixture(face):
 
 def test_gamma_cells_on_gt_diamond():
     me = gt_embedding((2, 1, 0))
-    pairs = gamma_cells(me, "D2_3")
+    face = me.faces[me.face_ids.index("D2_3")]
+    pairs = gamma_cells_fixture(face)
     assert len(pairs) == 2
     sigmas = {s for _, s in pairs}
-    assert sigmas == {
+    assert sigmas == set(face_extensions(face)) == {
         ("x2_2", "x3_3", "x1_2", "x2_3"),
         ("x2_2", "x1_2", "x3_3", "x2_3"),
     }
@@ -228,7 +241,8 @@ def test_gamma_cells_on_gt_diamond():
 
 def test_subdivide_marked_face_volumes():
     me = gt_embedding((2, 1, 0))
-    children = subdivide_marked_face(me, "D2_3")
+    face = me.faces[me.face_ids.index("D2_3")]
+    children = [subdivide_with_extension(me, "D2_3", s) for s in face_extensions(face)]
     assert len(children) == 2
     assert sum(marked_volume(c.mp) for c in children) == marked_volume(me.mp)
 

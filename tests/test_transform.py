@@ -23,14 +23,12 @@ from gtflow.transform import (
     EmbeddingError,
     Face,
     MarkedEmbedding,
-    build_G_P,
     build_G_PAlambda,
     build_skew_flow,
     build_skew_gt,
     enumerate_skew_points,
     gamma,
     gamma_inverse,
-    validate_embedding,
 )
 
 
@@ -59,7 +57,7 @@ def diamond_embedding(marking):
 
 def test_validate_gt_embedding():
     for lam in [(1, 0), (2, 1, 0), (3, 1, 1, 0)]:
-        assert validate_embedding(gt_embedding(lam))
+        gt_embedding(lam).validate()
 
 
 def test_validate_rejects_marked_left_interior():
@@ -75,15 +73,17 @@ def test_validate_rejects_marked_left_interior():
         Face.make([TOP, "c", "m2", "y", "m1", "a", BOTTOM], SENTINEL),
     ]
     good = MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "y": 1}), faces)
-    assert validate_embedding(good)  # y strictly inside Fs's left boundary
+    good.validate()  # y strictly inside Fs's left boundary
     bad = MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "x": 1}), faces)
-    assert not validate_embedding(bad)  # x marked on Fmid's left boundary
+    with pytest.raises(EmbeddingError):
+        bad.validate()  # x marked on Fmid's left boundary
 
 
 def test_build_G_P_on_chain():
     p = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     chain = [TOP, "c", "b", "a", BOTTOM]
-    dn = build_G_P(p, [Face.make(SENTINEL, chain), Face.make(chain, SENTINEL)])
+    faces = [Face.make(SENTINEL, chain), Face.make(chain, SENTINEL)]
+    dn = build_G_PAlambda(MarkedEmbedding.make(MarkedPoset.make(p, {}), faces, hat_values=(0, 1)))
     g = dn.network
     # one source (+1), one sink (-1), a parallel bundle of 4 dual edges
     assert g.num_vertices == 2
@@ -101,7 +101,7 @@ def test_build_G_P_on_antichain():
         Face.make([TOP, "a", BOTTOM], [TOP, "b", BOTTOM]),
         Face.make([TOP, "b", BOTTOM], SENTINEL),
     ]
-    dn = build_G_P(p, faces)
+    dn = build_G_PAlambda(MarkedEmbedding.make(MarkedPoset.make(p, {}), faces, hat_values=(0, 1)))
     assert dn.network.netflow == (1, 0, -1)
     assert kostant(dn.network) == 4  # unit square
     assert lidskii_volume(dn.network) * 2 == p.count_linear_extensions() == 2
@@ -130,11 +130,11 @@ def test_gamma_values_match_network_edge_labels():
     me = gt_embedding(lam)
     dn = build_G_PAlambda(me)
     gl = build_G_lambda(lam)
-    from gtflow.gt import cell_id, gt_pattern_from_point
+    from gtflow.gt import GTPattern, cell_id
 
     for point in lattice_points(me.mp):
         f = gamma(dn, point)
-        pat = gt_pattern_from_point(lam, point)
+        pat = GTPattern(tuple(tuple(point[cell_id(i, j)] for j in range(i, 4)) for i in range(1, 4)))
         fl = gt_to_flow(lam, pat)
         for (lab, k) in gl.edge_index.items():
             if lab[0] == "a":
@@ -239,7 +239,7 @@ def test_skew_equal_shapes_single_point():
 
 def test_build_skew_gt_is_valid():
     me = build_skew_gt((2, 1), (1, 0), 3)
-    assert validate_embedding(me)
+    me.validate()
     assert len(lattice_points(me.mp)) == len(enumerate_skew_points((2, 1), (1, 0), 3))
 
 

@@ -1,0 +1,39 @@
+"""The identity harness: its record families and the bounds it reads."""
+
+from collections import Counter
+
+from gtflow import verify
+
+PROMOTED = (
+    "gt/pts:weyl=ssyt",
+    "subdivision/interior-disjoint",
+    "subdivision/face-extensions=binomial",
+    "subdivision/trees=face-extensions",
+)
+FACE_FAMILIES = PROMOTED[2:]
+
+
+def test_promoted_families_run_and_pass_at_default_bounds():
+    report = verify.run_verify("all")
+    records = [r for r in report["results"] if r["identity"] in PROMOTED]
+    counts = Counter(r["identity"] for r in records)
+    # one record per partition, per corpus network, and per inner face
+    assert counts == {PROMOTED[0]: 34, PROMOTED[1]: 22, PROMOTED[2]: 14, PROMOTED[3]: 14}
+    assert all(r["pass"] for r in records)
+    assert report["pass"]
+
+
+def test_a_dropped_face_extension_fails_both_face_families(monkeypatch):
+    real = verify.face_extensions
+    monkeypatch.setattr(verify, "face_extensions", lambda face: real(face)[:-1])
+    records = [r for r in verify.run_verify("subdivision")["results"] if r["identity"] in FACE_FAMILIES]
+    assert Counter(r["identity"] for r in records) == {FACE_FAMILIES[0]: 14, FACE_FAMILIES[1]: 14}
+    assert not any(r["pass"] for r in records)
+
+
+def test_run_verify_reads_its_defaults_from_default_bounds(monkeypatch):
+    monkeypatch.setitem(verify.DEFAULT_BOUNDS, "n", 2)
+    monkeypatch.setitem(verify.DEFAULT_BOUNDS, "lmax", 1)
+    records = verify.run_verify("gt")["results"]
+    instances = {r["instance"] for r in records if r["identity"] == "gt/pts:weyl=ssyt"}
+    assert instances == {"(0,)", "(1,)", "(0, 0)", "(1, 0)", "(1, 1)"}
