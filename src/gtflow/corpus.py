@@ -177,44 +177,29 @@ def _builtin_posets() -> list[tuple[str, Poset]]:
     ]
 
 
-def _external_dir() -> Path | None:
+def _load(kind: str, from_json, builtin) -> tuple:
+    """(stem, fixture) for each *.{kind}.json file of the GTFLOW_CORPUS
+    directory, or the built-in fixtures if it is not set."""
     d = os.environ.get(CORPUS_ENV)
     if not d:
-        return None
-    return Path(d)
+        return tuple(builtin())
+    paths = sorted(Path(d).glob(f"*.{kind}.json"))
+    return tuple((path.stem, from_json(json.loads(path.read_text()))) for path in paths)
 
 
 @lru_cache(maxsize=None)
 def networks() -> tuple[tuple[str, FlowNetwork], ...]:
-    d = _external_dir()
-    if d is None:
-        return tuple(_builtin_networks())
-    out = []
-    for path in sorted(d.glob("*.network.json")):
-        out.append((path.stem, FlowNetwork.from_json(json.loads(path.read_text()))))
-    return tuple(out)
+    return _load("network", FlowNetwork.from_json, _builtin_networks)
 
 
 @lru_cache(maxsize=None)
 def embeddings() -> tuple[tuple[str, MarkedEmbedding], ...]:
-    d = _external_dir()
-    if d is None:
-        return tuple(_builtin_embeddings())
-    out = []
-    for path in sorted(d.glob("*.embedding.json")):
-        out.append((path.stem, MarkedEmbedding.from_json(json.loads(path.read_text()))))
-    return tuple(out)
+    return _load("embedding", MarkedEmbedding.from_json, _builtin_embeddings)
 
 
 @lru_cache(maxsize=None)
 def posets() -> tuple[tuple[str, Poset], ...]:
-    d = _external_dir()
-    if d is None:
-        return tuple(_builtin_posets())
-    out = []
-    for path in sorted(d.glob("*.poset.json")):
-        out.append((path.stem, Poset.from_json(json.loads(path.read_text()))))
-    return tuple(out)
+    return _load("poset", Poset.from_json, _builtin_posets)
 
 
 def single_sink_embeddings() -> list[tuple[str, MarkedEmbedding]]:

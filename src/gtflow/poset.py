@@ -1,9 +1,9 @@
 """Finite posets, marked posets, and marked order polytopes.
 
 Implements the marked-order-polytope toolkit: lattice point enumeration,
-volumes via position-constrained linear extensions, the vertex criterion,
-Minkowski-sum checks by support functions, and the log-concavity property of
-the extension counts.
+the table of linear-extension counts N(a) by gap vector a of the marked
+elements, volumes from that table, the vertex criterion, Minkowski-sum checks
+by support functions, and the log-concavity property of the extension counts.
 
 Conventions: a linear extension is an order-REVERSING listing (largest
 element first).  Marked elements are sorted by marking value descending,
@@ -16,10 +16,12 @@ import heapq
 import math
 import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .combinat import enumerate_compositions
 
@@ -127,30 +129,6 @@ class Poset:
 
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self._bit if not self._below[e])
-
-    def linear_extensions(self, position_filter=None):
-        """Yield order-reversing listings (maximal elements first).
-
-        position_filter(pos, element) may veto a placement; pos is 1-based.
-        """
-        items = [(e, b, self._above[e]) for e, b in self._bit.items()]
-        placed: list[str] = []
-
-        def rec(remaining: int):
-            if not remaining:
-                yield tuple(placed)
-                return
-            for e, b, above in items:
-                # maximal among the remaining elements, names ascending
-                if not b & remaining or above & remaining:
-                    continue
-                if position_filter and not position_filter(len(placed) + 1, e):
-                    continue
-                placed.append(e)
-                yield from rec(remaining ^ b)
-                placed.pop()
-
-        yield from rec((1 << len(items)) - 1)
 
     def count_linear_extensions(self) -> int:
         items = [(b, self._above[e]) for e, b in self._bit.items()]
@@ -380,66 +358,60 @@ def point_feasible(mp: MarkedPoset, x: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear extensions with marked positions, volumes
+# linear extensions by gap vector of the marked elements, volumes
 
 
-def _marked_positions(mp: MarkedPoset, a) -> dict[int, str] | None:
-    marked = mp.sorted_marked()
-    k = len(marked)
-    if len(a) != k - 1:
-        raise ValueError(f"gap vector needs {k - 1} entries, got {len(a)}")
-    pos = {}
-    cur = 1
-    for idx, e in enumerate(marked):
-        pos[cur] = e
-        if idx < k - 1:
-            cur += 1 + a[idx]
-    if max(pos) > len(mp.poset.elements):
-        return None
-    return pos
+@lru_cache(maxsize=64)
+def extension_gap_counts(mp: MarkedPoset) -> Mapping[tuple[int, ...], int]:
+    """{a: N(a)} over the gap vectors a with a nonzero count: N(a) is the
+    number of linear extensions listing the sorted marked elements in order
+    with a_t unmarked elements between the t-th and the (t+1)-th.
+
+    One forward pass places elements largest first, keyed by (unplaced
+    elements, closed gaps, unmarked run since the last mark); a marked
+    element is placed only when it is the next one in sorted order.  The
+    first closed gap is the run before the first mark (0, as the maximal
+    elements are marked) and is dropped at the end.  No extension is built.
+    """
+    mp.validate()
+    p = mp.poset
+    rank = {e: i for i, e in enumerate(mp.sorted_marked())}
+    items = [(b, p._above[e], rank.get(e)) for e, b in p._bit.items()]
+    layer: dict[tuple[int, tuple[int, ...], int], int] = {((1 << len(items)) - 1, (), 0): 1}
+    for _ in items:
+        nxt: dict[tuple[int, tuple[int, ...], int], int] = {}
+        for (rest, gaps, run), c in layer.items():
+            for b, above, r in items:
+                # maximal among the unplaced elements
+                if not b & rest or above & rest:
+                    continue
+                if r is None:
+                    key = (rest ^ b, gaps, run + 1)
+                elif r == len(gaps):
+                    key = (rest ^ b, gaps + (run,), 0)
+                else:
+                    continue
+                nxt[key] = nxt.get(key, 0) + c
+        layer = nxt
+    table: dict[tuple[int, ...], int] = {}
+    for (_, gaps, _), c in layer.items():
+        table[gaps[1:]] = table.get(gaps[1:], 0) + c
+    return MappingProxyType(table)
 
 
 def count_marked_extensions(mp: MarkedPoset, a) -> int:
     """N_{P,A,lambda}(a): linear extensions placing the sorted marked
     elements at positions 1, 2+a_1, ..., k+a_1+...+a_{k-1}."""
-    pos = _marked_positions(mp, a)
-    if pos is None:
-        return 0
-    n = len(mp.poset.elements)
-    if sum(a) != n - len(mp.sorted_marked()):
-        return 0
-    marked = set(mp.sorted_marked())
-
-    def flt(position: int, e: str) -> bool:
-        want = pos.get(position)
-        if want is not None:
-            return e == want
-        return e not in marked
-
-    return sum(1 for _ in mp.poset.linear_extensions(position_filter=flt))
-
-
-def extension_gap_counts(mp: MarkedPoset) -> dict[tuple[int, ...], int]:
-    """Bucket all linear extensions with the marked elements in sorted
-    relative order by their gap vector a."""
-    marked = mp.sorted_marked()
-    rank = {e: i for i, e in enumerate(marked)}
-    buckets: dict[tuple[int, ...], int] = {}
-    for ext in mp.poset.linear_extensions():
-        seen = [e for e in ext if e in rank]
-        if [rank[e] for e in seen] != list(range(len(marked))):
-            continue
-        positions = [i + 1 for i, e in enumerate(ext) if e in rank]
-        gaps = tuple(
-            positions[t + 1] - positions[t] - 1 for t in range(len(marked) - 1)
-        )
-        buckets[gaps] = buckets.get(gaps, 0) + 1
-    return buckets
+    k = len(mp.marked)
+    if len(a) != k - 1:
+        raise ValueError(f"gap vector needs {k - 1} entries, got {len(a)}")
+    return extension_gap_counts(mp).get(tuple(a), 0)
 
 
 def marked_volume(mp: MarkedPoset) -> Fraction:
-    """Volume of the projected marked order polytope, via the sum of
-    simplex-product volumes over position-constrained extension counts."""
+    """Volume of the projected marked order polytope: the sum over gap
+    vectors a of N(a) times the simplex-product volume prod g_t^a_t / a_t!,
+    g_t the t-th difference of the sorted marks."""
     mp.validate()
     lam = mp.marking
     marked = mp.sorted_marked()

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .combinat import enumerate_compositions, finite_difference
 from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
@@ -267,24 +268,17 @@ def _next_zero_vertex(g: FlowNetwork):
     return None
 
 
-def canonical_reduction_tree(g: FlowNetwork, order=None) -> ReductionTree:
+def canonical_reduction_tree(g: FlowNetwork) -> ReductionTree:
     """Fully expand compounded reductions, highest-index zero-netflow vertex
-    first (or along the given sequence of vertex indices of g)."""
+    first."""
     check_sign_convention(g)
     nodes = [ReductionNode(g, tuple((i,) for i in range(len(g.edges))))]
     children: dict[int, list[int]] = {}
-    plan = None
-    if order is not None:
-        plan = {0: list(order)}
     stack = [0]
     while stack:
         ni = stack.pop()
         net = nodes[ni].network
-        if plan is None:
-            v = _next_zero_vertex(net)
-        else:
-            seq = plan[ni]
-            v = seq[0] if seq else None
+        v = _next_zero_vertex(net)
         if v is None:
             continue
         children[ni] = []
@@ -301,8 +295,6 @@ def canonical_reduction_tree(g: FlowNetwork, order=None) -> ReductionTree:
             nodes.append(node)
             ci = len(nodes) - 1
             children[ni].append(ci)
-            if plan is not None:
-                plan[ci] = [u if u < v else u - 1 for u in plan[ni][1:]]
             stack.append(ci)
     return ReductionTree(nodes, children)
 
@@ -311,14 +303,14 @@ def reduction_tree_volume(tree: ReductionTree) -> Fraction:
     return sum((leaf_volume(n) for n in tree.leaf_networks()), Fraction(0))
 
 
-def interior_sample_disjoint(tree: ReductionTree, dilation: int = 2) -> bool:
-    """Interior lattice points of the dilated leaf cells, pushed into root
-    coordinates, must not collide across distinct leaves."""
+def interior_sample_disjoint(tree: ReductionTree) -> bool:
+    """Interior lattice points of the leaf cells dilated by 2, pushed into
+    root coordinates, must not collide across distinct leaves."""
     seen: dict[tuple, int] = {}
     m = len(tree.root.network.edges)
     for li in tree.leaves():
         net = tree.nodes[li].network
-        scaled = net.with_netflow(tuple(dilation * x for x in net.netflow))
+        scaled = net.with_netflow(tuple(2 * x for x in net.netflow))
         for f in enumerate_integer_flows(scaled):
             if any(x < 1 for x in f):
                 continue
@@ -335,23 +327,15 @@ def interior_sample_disjoint(tree: ReductionTree, dilation: int = 2) -> bool:
 
 def face_extensions(face: Face) -> list[tuple[str, ...]]:
     """All linear orders of the face: shuffles of the two boundary
-    interiors between the shared max and min."""
-    p = face.left
-    q = face.right
-    pi = list(p[1:-1])
-    qi = list(q[1:-1])
+    interiors between the shared max and min, ordered by the slots of the
+    left interior, lexicographically."""
+    top, *pi, bottom = face.left
+    qi = face.right[1:-1]
+    slots = range(len(pi) + len(qi))
     out = []
-
-    def rec(acc, i, j):
-        if i == len(pi) and j == len(qi):
-            out.append((p[0],) + tuple(acc) + (p[-1],))
-            return
-        if i < len(pi):
-            rec(acc + [pi[i]], i + 1, j)
-        if j < len(qi):
-            rec(acc + [qi[j]], i, j + 1)
-
-    rec([], 0, 0)
+    for left in combinations(slots, len(pi)):
+        ps, qs = iter(pi), iter(qi)
+        out.append((top, *(next(ps) if s in left else next(qs) for s in slots), bottom))
     return out
 
 
@@ -568,16 +552,13 @@ def _cell_points(parent: _CellState, child: _CellState) -> tuple:
     return tuple(points)
 
 
-def _expand_cell(state: _CellState, face_id: str, check: bool) -> list[_CellState]:
+def _expand_cell(state: _CellState, face_id: str) -> list[_CellState]:
     out = []
     for child, _, _ in _steps(state, face_id):
         child.points = _cell_points(state, child)
-        if check:
-            direct, _ = _simplified_dual_state(child.me)
-            if _dual_signature(child) != _dual_signature(direct):
-                raise EmbeddingError(
-                    f"reduced network differs from the direct dual after replacing {face_id}"
-                )
+        direct, _ = _simplified_dual_state(child.me)
+        if _dual_signature(child) != _dual_signature(direct):
+            raise EmbeddingError(f"reduced network differs from the direct dual after replacing {face_id}")
         out.append(child)
     return out
 
@@ -595,9 +576,7 @@ class SubdivisionReport:
         return self.volumes_match and self.lattice_matches
 
 
-def full_subdivision_check(
-    me: MarkedEmbedding, check_networks: bool = True, face_order=None
-) -> SubdivisionReport:
+def full_subdivision_check(me: MarkedEmbedding, face_order=None) -> SubdivisionReport:
     """Run both subdivisions in lockstep and verify the gamma pairing cell
     by cell: equal labeled networks, matching volumes, and a lattice-point
     bijection through the integral equivalence.
@@ -610,8 +589,8 @@ def full_subdivision_check(
     construction; a cell point outside the image (only a faulty carry can
     make one) still makes lattice_matches False.
 
-    face_order overrides the canonical highest-vertex-first sequence (used
-    by the order-naturality property test).
+    face_order overrides the canonical highest-vertex-first sequence (the
+    order-naturality test and the benchmark's seeded face orders set it).
     """
     if any(f != "L" for f in me.flags):
         raise EmbeddingError("full subdivision check supports left-flagged embeddings")
@@ -626,7 +605,7 @@ def full_subdivision_check(
     root.points = tuple(image)
     states = [root]
     for face_id in plan:
-        states = [c for s in states for c in _expand_cell(s, face_id, check_networks)]
+        states = [c for s in states for c in _expand_cell(s, face_id)]
     root_vol = marked_volume(me.mp)
     m = len(dn.network.edges)
     total = Fraction(0)

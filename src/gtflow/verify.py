@@ -79,9 +79,8 @@ def record(identity, instance, expected, actual):
 
 
 def skip(skipped, identity, instance, reason) -> None:
-    """Note an instance the identity was not checked on, if a list is given."""
-    if skipped is not None:
-        skipped.append({"identity": identity, "instance": str(instance), "reason": str(reason)})
+    """Note an instance the identity was not checked on."""
+    skipped.append({"identity": identity, "instance": str(instance), "reason": str(reason)})
 
 
 def partitions(max_n: int, max_part: int):
@@ -99,7 +98,7 @@ def partitions(max_n: int, max_part: int):
 # ---------------------------------------------------------------------------
 
 
-def verify_gt(nmax: int = 4, lmax: int = 4) -> list[dict]:
+def verify_gt(nmax: int, lmax: int) -> list[dict]:
     """The five-formula identity chain for GT volumes and point counts, and
     the point count against the semistandard tableaux it counts."""
     out = []
@@ -122,7 +121,7 @@ def verify_gt(nmax: int = 4, lmax: int = 4) -> list[dict]:
     return out
 
 
-def verify_bijection(nmax: int = 4, bmax: int = 3) -> list[dict]:
+def verify_bijection(nmax: int, bmax: int) -> list[dict]:
     """Diagonal-count identity N(b) = K(shifted) and the explicit mutually
     inverse tableau/flow maps realizing it."""
     from itertools import product as iproduct
@@ -155,7 +154,7 @@ def verify_bijection(nmax: int = 4, bmax: int = 3) -> list[dict]:
     return out
 
 
-def verify_flow(tmax: int = 3) -> list[dict]:
+def verify_flow(tmax: int) -> list[dict]:
     """Lidskii formulas on the network corpus: both point-count forms against
     direct enumeration, the volume as the exact Ehrhart leading coefficient,
     and the degree bound of the count polynomial."""
@@ -191,7 +190,7 @@ def verify_flow(tmax: int = 3) -> list[dict]:
     return out
 
 
-def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0, skipped=None) -> list[dict]:
+def verify_poset(mmax: int, trials: int, seed: int, skipped: list) -> list[dict]:
     """Order-polytope and marked-volume checks, Minkowski support-function
     additivity, and log-concavity of the extension counts."""
     out = []
@@ -241,7 +240,7 @@ def verify_poset(mmax: int = 3, trials: int = 100, seed: int = 0, skipped=None) 
     return out
 
 
-def verify_transform(skipped=None) -> list[dict]:
+def verify_transform(skipped: list) -> list[dict]:
     """Marked-order-to-flow equivalence: Gamma bijections, count transfer,
     and volume transfer where the Lidskii hypotheses apply."""
     out = []
@@ -267,7 +266,7 @@ def verify_transform(skipped=None) -> list[dict]:
     return out
 
 
-def verify_subdivision(amax: int = 3, skipped=None) -> list[dict]:
+def verify_subdivision(amax: int, skipped: list) -> list[dict]:
     """Reduction-tree volume conservation and disjoint cell interiors, the
     extensions of each inner face against their count and the noncrossing
     trees, subdivision cell pairing, and the flow-to-extension bijection on

@@ -214,7 +214,7 @@ def test_counts_and_shsyt_volume_never_enumerate(monkeypatch):
 def test_tableau_roundtrip_streams_without_enumerate_shsyt(monkeypatch):
     from gtflow import verify
 
-    expected = verify.verify_bijection(4)
+    expected = verify.verify_bijection(4, 3)
     assert all(r["pass"] for r in expected)
 
     def refuse(n):
@@ -222,7 +222,7 @@ def test_tableau_roundtrip_streams_without_enumerate_shsyt(monkeypatch):
 
     monkeypatch.setattr(combinat, "enumerate_shsyt", refuse)
     monkeypatch.setattr(verify, "enumerate_shsyt", refuse, raising=False)
-    assert verify.verify_bijection(4) == expected
+    assert verify.verify_bijection(4, 3) == expected
 
 
 def thrall_count(n):

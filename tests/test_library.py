@@ -59,12 +59,17 @@ def _public_definitions():
                         yield f"{path.stem}.{node.name}.{item.name}", item
 
 
+def _caller_trees():
+    """The parsed library and benchmark-harness sources."""
+    callers = sorted(Path(gtflow.__file__).parent.glob("*.py"))
+    callers += sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
+    return [ast.parse(path.read_text()) for path in callers]
+
+
 def test_every_public_name_is_reached_from_the_library():
     # a public name is used by the library (or the benchmark harness, which
     # drives it as a user would) somewhere outside its own definition
-    callers = sorted(Path(gtflow.__file__).parent.glob("*.py"))
-    callers += sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
-    uses = Counter(name for path in callers for name in _identifiers(ast.parse(path.read_text())))
+    uses = Counter(name for tree in _caller_trees() for name in _identifiers(tree))
     unreached = [
         qualified
         for qualified, node in _public_definitions()
@@ -72,3 +77,44 @@ def test_every_public_name_is_reached_from_the_library():
         and uses[node.name] == Counter(_identifiers(node))[node.name]
     ]
     assert unreached == [], "\n".join(unreached)
+
+
+def _callee(call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _passes(call, index: int, name: str) -> bool:
+    """Whether the call passes the parameter at positional index `index` (or
+    None for keyword-only) named `name`; an unpacked argument passes all."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_set_by_a_caller():
+    # a defaulted parameter that no caller sets is an option nobody uses:
+    # some call in the library or the benchmark harness must pass it
+    calls = [node for tree in _caller_trees() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for qualified, node in _public_definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # a method's first parameter is bound by the attribute access
+        bound = qualified.count(".") == 2 and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for index, name in defaulted:
+            if not any(_callee(c) == node.name and _passes(c, index, name) for c in calls):
+                unset.append(f"{qualified}({name})")
+    assert unset == [], "\n".join(unset)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtflow.combinat import enumerate_shsyt_corner_oracle
+from gtflow.gt import gt_embedding, gt_volume_product
 from gtflow.poset import (
     MarkedPoset,
     Poset,
@@ -103,6 +105,15 @@ def test_marked_volume_order_polytope_is_extension_count_over_factorial():
         e = p.count_linear_extensions()
         assert marked_volume(mp) == Fraction(e, math.factorial(len(p.elements)))
         assert normalized_volume(mp) == e
+
+
+def test_gap_table_of_the_n6_staircase_counts_its_tableaux():
+    # the extensions of the GT poset that list its marks in order are the
+    # shifted staircase tableaux of side 6
+    lam = (5, 4, 3, 2, 1, 0)
+    mp = gt_embedding(lam).mp
+    assert sum(extension_gap_counts(mp).values()) == enumerate_shsyt_corner_oracle(6) == 33592
+    assert marked_volume(mp) == gt_volume_product(lam)
 
 
 def test_marked_volume_degenerate():
@@ -468,13 +479,22 @@ def test_poset_queries_match_a_dfs_closure(data):
 
     assert P.count_linear_extensions() == _brute_count(elements, below)
     if n <= 6:
-        brute = _brute_extensions(elements, below)
-        assert list(P.linear_extensions()) == brute
-        veto = set()
-        if n:
-            veto = data.draw(st.sets(st.tuples(st.integers(1, n), st.sampled_from(elements)), max_size=4))
-        kept = [x for x in brute if not any((i + 1, e) in veto for i, e in enumerate(x))]
-        assert list(P.linear_extensions(position_filter=lambda pos, e: (pos, e) not in veto)) == kept
+        # the extremal elements and a drawn subset, marked by the size of
+        # their down-set: order-preserving, with ties between incomparables
+        extremal = {e for e in elements if not below[e] or not any(e in below[o] for o in elements)}
+        drawn = data.draw(st.sets(st.sampled_from(elements))) if n else set()
+        mp = MarkedPoset.make(P, {e: len(below[e]) for e in extremal | drawn})
+        marked = mp.sorted_marked()
+        buckets = {}
+        for x in _brute_extensions(elements, below):
+            if [e for e in x if e in marked] != list(marked):
+                continue
+            pos = [i for i, e in enumerate(x) if e in marked]
+            gaps = tuple(j - i - 1 for i, j in zip(pos, pos[1:]))
+            buckets[gaps] = buckets.get(gaps, 0) + 1
+        assert extension_gap_counts(mp) == buckets
+        if marked:  # with no mark, no gap vector has -1 entries
+            assert all(count_marked_extensions(mp, a) == c for a, c in buckets.items())
 
     # a redundant cover, a cycle and an unknown element still raise
     longer = [(p, q) for q in elements for p in below[q] if (p, q) not in covers]

@@ -155,15 +155,6 @@ def test_leaf_counts_by_out_degrees_match_kostant():
             assert kostant(g, shifted) == cnt
 
 
-def test_reduction_order_naturality():
-    g = build_G_lambda((2, 1, 0)).network
-    zeros = [v for v in range(g.num_vertices) if g.netflow[v] == 0]
-    t1 = canonical_reduction_tree(g)
-    t2 = canonical_reduction_tree(g, order=sorted(zeros))
-    assert len(t1.leaves()) == len(t2.leaves())
-    assert reduction_tree_volume(t1) == reduction_tree_volume(t2)
-
-
 def test_interior_sample_disjoint():
     assert interior_sample_disjoint(canonical_reduction_tree(CRY5))
     assert interior_sample_disjoint(canonical_reduction_tree(build_G_lambda((2, 1, 0)).network))

@@ -310,3 +310,30 @@ def test_single_sink_embeddings_raises_on_an_embedding_without_a_dual(tmp_path, 
             corpus.single_sink_embeddings()
     finally:
         corpus.embeddings.cache_clear()
+
+
+def test_an_external_corpus_loads_each_file_under_its_stem(tmp_path, monkeypatch):
+    net = dict(corpus.networks())["triangle"]
+    # to_json keeps no face ids, so the loaded embedding numbers its faces
+    me = MarkedEmbedding.from_json(dict(corpus.embeddings())["chain3"].to_json())
+    p = dict(corpus.posets())["vee"]
+    full, empty = tmp_path / "full", tmp_path / "empty"
+    full.mkdir()
+    empty.mkdir()
+    for name, fixture in (("t.network", net), ("c.embedding", me), ("v.poset", p)):
+        (full / f"{name}.json").write_text(json.dumps(fixture.to_json()))
+    loaders = (corpus.networks, corpus.embeddings, corpus.posets)
+    try:
+        monkeypatch.setenv(corpus.CORPUS_ENV, str(full))
+        for load in loaders:
+            load.cache_clear()
+        assert corpus.networks() == (("t.network", net),)
+        assert corpus.embeddings() == (("c.embedding", me),)
+        assert corpus.posets() == (("v.poset", p),)
+        monkeypatch.setenv(corpus.CORPUS_ENV, str(empty))
+        for load in loaders:
+            load.cache_clear()
+        assert [load() for load in loaders] == [(), (), ()]
+    finally:
+        for load in loaders:
+            load.cache_clear()
