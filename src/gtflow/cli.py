@@ -215,12 +215,8 @@ def cmd_export(args) -> int:
             _emit(_embedding_dot(me), args.out)
         else:
             _emit(_dump_json(me.to_json()), args.out)
-    elif args.tree:
-        g = _load_network(args.tree)
-        tree = canonical_reduction_tree(g)
-        _emit(tree.to_dot() if args.format == "dot" else _dump_json(tree.to_json()), args.out)
     else:
-        raise ValueError("export needs --network, --embedding, or --tree")
+        raise ValueError("export needs --network or --embedding")
     return 0
 
 
@@ -309,7 +305,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("export", help="serialize objects as JSON or DOT")
     p.add_argument("--network")
     p.add_argument("--embedding")
-    p.add_argument("--tree", help="network file; exports its reduction tree")
     p.add_argument("--format", choices=["json", "dot"], default="dot")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_export)

@@ -178,13 +178,14 @@ def _builtin_posets() -> list[tuple[str, Poset]]:
 
 
 def _load(kind: str, from_json, builtin) -> tuple:
-    """(stem, fixture) for each *.{kind}.json file of the GTFLOW_CORPUS
+    """(name, fixture) for each <name>.{kind}.json file of the GTFLOW_CORPUS
     directory, or the built-in fixtures if it is not set."""
     d = os.environ.get(CORPUS_ENV)
     if not d:
         return tuple(builtin())
-    paths = sorted(Path(d).glob(f"*.{kind}.json"))
-    return tuple((path.stem, from_json(json.loads(path.read_text()))) for path in paths)
+    suffix = f".{kind}.json"
+    paths = sorted(Path(d).glob(f"*{suffix}"))
+    return tuple((path.name[: -len(suffix)], from_json(json.loads(path.read_text()))) for path in paths)
 
 
 @lru_cache(maxsize=None)

@@ -456,16 +456,11 @@ def simplify(g: FlowNetwork):
     emap = [i for i in range(len(g.edges)) if i in alive_edges]
     edges = [(vidx[g.edges[i][0]], vidx[g.edges[i][1]]) for i in emap]
     netflow = [g.netflow[v] for v in vmap]
-    in_orders = None
-    out_orders = None
-    if g.in_orders is not None:
-        eidx = {old: new for new, old in enumerate(emap)}
-        in_orders = [
-            [eidx[i] for i in g.in_orders[v] if i in eidx] for v in vmap
-        ]
-        out_orders = [
-            [eidx[i] for i in g.out_orders[v] if i in eidx] for v in vmap
-        ]
+    eidx = {old: new for new, old in enumerate(emap)}
+    in_orders, out_orders = (
+        None if orders is None else [[eidx[i] for i in orders[v] if i in eidx] for v in vmap]
+        for orders in (g.in_orders, g.out_orders)
+    )
     names = None if g.names is None else [g.names[v] for v in vmap]
     new = FlowNetwork.make(len(vmap), edges, netflow, in_orders, out_orders, names)
     return new, tuple(vmap), tuple(emap)

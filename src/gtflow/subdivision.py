@@ -420,29 +420,14 @@ class _CellState:
 
 def _dual_signature(state: _CellState):
     """Labeled-network signature: edges as (tail key, head key, crossing)
-    with per-vertex boundary orders, plus keyed netflows.  Keys use face ids
-    so that signatures survive re-indexing."""
-    me = state.me
-
-    def keyof(v):
-        k = state.keys[v]
-        return (k[0], me.face_ids[k[1]]) + tuple(k[2:])
-
-    net = state.network
-    edges = sorted(
-        (keyof(net.edges[i][0]), keyof(net.edges[i][1]), state.crossings[i])
-        for i in range(len(net.edges))
-    )
-    netflows = sorted((keyof(v), net.netflow[v]) for v in range(net.num_vertices))
-    orders = []
-    for v in range(net.num_vertices):
-        orders.append(
-            (
-                keyof(v),
-                tuple(state.crossings[i] for i in net.in_edges(v)),
-                tuple(state.crossings[i] for i in net.out_edges(v)),
-            )
-        )
+    with per-vertex boundary orders, plus keyed netflows."""
+    keys, net, crossings = state.keys, state.network, state.crossings
+    edges = sorted((keys[u], keys[w], crossings[i]) for i, (u, w) in enumerate(net.edges))
+    netflows = sorted(zip(keys, net.netflow))
+    orders = [
+        (keys[v], tuple(crossings[i] for i in net.in_edges(v)), tuple(crossings[i] for i in net.out_edges(v)))
+        for v in range(net.num_vertices)
+    ]
     return edges, netflows, sorted(orders)
 
 
@@ -484,16 +469,15 @@ def _reduction_order(state: _CellState) -> list[str]:
     out = []
     for v in range(state.network.num_vertices - 1, -1, -1):
         if state.keys[v][0] == "face" and state.network.netflow[v] == 0:
-            out.append(state.me.face_ids[state.keys[v][1]])
+            out.append(state.keys[v][1])
     return out
 
 
 def _face_vertex(state: _CellState, face_id: str) -> tuple[int, Face]:
     """The face and its dual vertex v_F, whose in- and out-degrees must
     match the face's right and left boundaries."""
-    fi = state.me.face_ids.index(face_id)
-    v = state.keys.index(("face", fi))
-    face = state.me.faces[fi]
+    v = state.keys.index(("face", face_id))
+    face = state.me.faces[state.me.face_ids.index(face_id)]
     net = state.network
     if net.indeg(v) != len(face.right) - 1 or net.outdeg(v) != len(face.left) - 1:
         raise EmbeddingError("vertex degrees do not match the face boundary")
@@ -516,14 +500,7 @@ def _steps(state: _CellState, face_id: str, tree: NoncrossingTree | None = None)
     else:
         trees = (tree,)
         reductions = (compound_reduce(net, v, t) for t in trees)
-    ids = state.me.face_ids
-    fi = ids.index(face_id)
-    child_ids = ids[:fi] + ids[fi + 1 :]
-    keys = tuple(
-        (k[0], child_ids.index(ids[k[1]])) + tuple(k[2:])
-        for u, k in enumerate(state.keys)
-        if u != v
-    )
+    keys = state.keys[:v] + state.keys[v + 1 :]  # the child's faces keep their ids
     inc = state.inclusion
     for t in trees:
         sigma = sigma_from_tree(face, t)

@@ -20,9 +20,11 @@ Remnants without any edges (the outer faces) are dropped.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import neg, pos
 
 from .flow import FlowError, FlowNetwork
 from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, hat_poset, point_feasible
@@ -128,6 +130,12 @@ class MarkedEmbedding:
         return east, west
 
     def validate(self) -> None:
+        n = len(self.faces)
+        if len(self.flags) != n or any(f not in ("L", "R") for f in self.flags):
+            raise EmbeddingError(f"need one flag per face, each 'L' or 'R': got {list(self.flags)}")
+        ids = self.face_ids
+        if len(ids) != n or len(set(ids)) != n:
+            raise EmbeddingError(f"need one distinct id per face: got {list(ids)}")
         if self.mp.marking_items:
             self.mp.validate()
         else:
@@ -185,8 +193,8 @@ class MarkedEmbedding:
         d = {
             "poset": self.mp.to_json(),
             "faces": [
-                {"left": list(f.left), "right": list(f.right), "flag": self.flags[i]}
-                for i, f in enumerate(self.faces)
+                {"id": fid, "left": list(f.left), "right": list(f.right), "flag": flag}
+                for fid, f, flag in zip(self.face_ids, self.faces, self.flags)
             ],
         }
         if self.hat_values is not None:
@@ -204,6 +212,8 @@ class MarkedEmbedding:
             for key in ("left", "right"):
                 if not isinstance(f, dict) or key not in f:
                     raise EmbeddingError(f"embedding face has no {key!r} key")
+            if not all(isinstance(f.get(key, ""), str) for key in ("id", "flag")):
+                raise EmbeddingError("embedding face 'id' and 'flag' must be strings")
         hv = data.get("hat_values")
         if hv is not None and (not isinstance(hv, list) or len(hv) != 2):
             raise EmbeddingError("embedding JSON 'hat_values' must be a list of two values")
@@ -211,7 +221,8 @@ class MarkedEmbedding:
             mp = MarkedPoset.from_json(data["poset"])
             faces = [Face.make(f["left"], f["right"]) for f in data["faces"]]
             flags = [f.get("flag", "L") for f in data["faces"]]
-            return MarkedEmbedding.make(mp, faces, flags, hat_values=hv)
+            ids = [f.get("id", f"F{i}") for i, f in enumerate(data["faces"])]
+            return MarkedEmbedding.make(mp, faces, flags, ids, hv)
         except TypeError as exc:  # a number where a list belongs, or the reverse
             raise EmbeddingError(f"embedding JSON has a value of the wrong shape: {exc}") from exc
 
@@ -224,10 +235,10 @@ class MarkedEmbedding:
 class DualNetwork:
     """Flow network dual to a bounded strongly planar embedding.
 
-    vertex_keys identify each network vertex: ("face", fi) untouched face,
-    ("src", fi, g) / ("sink", fi, g) gap vertices, ("rsrc", fi) /
-    ("rsink", fi) processed-face remnants.  crossings[i] is the Hasse cover
-    crossed by edge i.
+    vertex_keys identify each network vertex by face id: ("face", id)
+    untouched face, ("src", id, g) / ("sink", id, g) gap vertices,
+    ("rsrc", id) / ("rsink", id) processed-face remnants.  crossings[i] is
+    the Hasse cover crossed by edge i.
     """
 
     embedding: MarkedEmbedding
@@ -252,11 +263,18 @@ class DualNetwork:
         return tuple(int(v) if v.denominator == 1 else v for v in (lamhat[BOTTOM], lamhat[TOP]))
 
 
-def _gap_of(chain_positions, marked_positions, cover_pos):
+def _gap_of(marked_positions, cover_pos):
     for g in range(len(marked_positions) - 1):
         if marked_positions[g] <= cover_pos < marked_positions[g + 1]:
             return g
     raise EmbeddingError("cover outside the marked span of its chain")
+
+
+def _vertex_name(key) -> str:
+    if key[0] == "face":
+        return key[1]
+    gap = key[2] + 1 if len(key) > 2 else ""
+    return f"{'s' if 'src' in key[0] else 't'}{gap}^{key[1]}"
 
 
 def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
@@ -268,7 +286,8 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
     east, west = me.edge_sides
     faces = me.faces
 
-    processed: dict[int, dict] = {}
+    # face index -> (positions of the marked elements on its flagged chain, those elements)
+    processed: dict[int, tuple[list[int], list[str]]] = {}
     for fi, face in enumerate(faces):
         chain = me.flagged_chain(fi)
         outer = face.is_left_outer or face.is_right_outer
@@ -283,62 +302,37 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
                 raise EmbeddingError(
                     f"face {me.face_ids[fi]}: flagged chain endpoints must be marked"
                 )
-        marks = [chain[t] for t in mpos]
-        processed[fi] = {"chain": chain, "mpos": mpos, "marks": marks}
+        processed[fi] = (mpos, [chain[t] for t in mpos])
 
-    def gap_netflow(fi, g):
-        info = processed[fi]
-        return lamhat[info["marks"][g]] - lamhat[info["marks"][g + 1]]
-
-    def span(fi):
-        info = processed[fi]
-        return lamhat[info["marks"][0]] - lamhat[info["marks"][-1]]
-
-    def tail_owner(cov):
-        fi = east[cov]
+    def owner(fi, cov, side):
+        """The vertex at side 0 (tail: cov on the left chain of face fi) or
+        side 1 (head: cov on its right chain) of the dual edge across cov."""
         if fi not in processed:
             return ("face", fi)
-        if me.flags[fi] == "L":
-            face = faces[fi]
-            pos = _chain_covers(face.left).index(cov)
-            g = _gap_of(face.left, processed[fi]["mpos"], pos)
-            return ("src", fi, g)
-        return ("rsrc", fi)
-
-    def head_owner(cov):
-        fi = west[cov]
-        if fi not in processed:
-            return ("face", fi)
-        if me.flags[fi] == "R":
-            face = faces[fi]
-            pos = _chain_covers(face.right).index(cov)
-            g = _gap_of(face.right, processed[fi]["mpos"], pos)
-            return ("sink", fi, g)
-        return ("rsink", fi)
+        if side == "LR".index(me.flags[fi]):  # cov lies on the flagged chain
+            t = _chain_covers(me.flagged_chain(fi)).index(cov)
+            return (("src", "sink")[side], fi, _gap_of(processed[fi][0], t))
+        return (("rsrc", "rsink")[side], fi)
 
     all_covers = [cov for face in faces if face.left != SENTINEL for cov in _chain_covers(face.left)]
-    edge_tail = {cov: tail_owner(cov) for cov in all_covers}
-    edge_head = {cov: head_owner(cov) for cov in all_covers}
+    edge_tail = {cov: owner(east[cov], cov, 0) for cov in all_covers}
+    edge_head = {cov: owner(west[cov], cov, 1) for cov in all_covers}
 
-    # vertex keys and netflows
+    # vertex keys and netflows: a left flag makes gap sources and a sink
+    # remnant, a right flag the mirror image, with every sign flipped
     netflows: dict[tuple, Fraction] = {}
     for fi, face in enumerate(faces):
         if fi not in processed:
             netflows[("face", fi)] = Fraction(0)
             continue
-        flag = me.flags[fi]
-        if flag == "L":
-            if not face.is_right_outer:
-                netflows[("rsink", fi)] = -span(fi)
-            if face.left != SENTINEL:
-                for g in range(len(processed[fi]["marks"]) - 1):
-                    netflows[("src", fi, g)] = gap_netflow(fi, g)
-        else:
-            if not face.is_left_outer:
-                netflows[("rsrc", fi)] = span(fi)
-            if face.right != SENTINEL:
-                for g in range(len(processed[fi]["marks"]) - 1):
-                    netflows[("sink", fi, g)] = -gap_netflow(fi, g)
+        marks = processed[fi][1]
+        side = "LR".index(me.flags[fi])
+        sign = (pos, neg)[side]
+        if (face.right, face.left)[side] != SENTINEL:  # the unflagged chain holds the remnant
+            netflows[(("rsink", "rsrc")[side], fi)] = sign(lamhat[marks[-1]] - lamhat[marks[0]])
+        if me.flagged_chain(fi) != SENTINEL:
+            for g in range(len(marks) - 1):
+                netflows[(("src", "sink")[side], fi, g)] = sign(lamhat[marks[g]] - lamhat[marks[g + 1]])
     used = set(edge_tail.values()) | set(edge_head.values())
     for key in list(netflows):
         if key[0] in ("src", "sink") and key not in used:
@@ -351,12 +345,11 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
     sinks = [k for k in netflows if k[0] in ("sink", "rsink")]
 
     def upper_value(k):
-        fi = k[1]
-        info = processed[fi]
-        return lamhat[info["marks"][k[2]]] if k[0] == "src" else lamhat[info["marks"][0]]
+        marks = processed[k[1]][1]
+        return lamhat[marks[k[2]]] if k[0] == "src" else lamhat[marks[0]]
 
     sources.sort(key=lambda k: (-upper_value(k), k[1], k[2] if len(k) > 2 else -1))
-    # topological order of untouched faces along dual edges
+    # topological order of untouched faces along dual edges, smallest face index first
     adj = {k: set() for k in plains}
     indeg = {k: 0 for k in plains}
     for cov in all_covers:
@@ -365,21 +358,21 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
             adj[t].add(h)
             indeg[h] += 1
     topo = []
-    avail = sorted((k for k in plains if indeg[k] == 0), key=lambda k: k[1])
+    avail = [k for k in plains if indeg[k] == 0]
+    heapq.heapify(avail)
     while avail:
-        k = avail.pop(0)
+        k = heapq.heappop(avail)
         topo.append(k)
-        for h in sorted(adj[k], key=lambda x: x[1]):
+        for h in adj[k]:
             indeg[h] -= 1
             if indeg[h] == 0:
-                avail.append(h)
-        avail.sort(key=lambda k: k[1])
+                heapq.heappush(avail, h)
     if len(topo) != len(plains):
         raise EmbeddingError("dual network has a cycle among faces")
     sinks.sort(key=lambda k: (k[1], k[2] if len(k) > 2 else -1))
 
-    keys = tuple(sources + topo + sinks)
-    index = {k: i for i, k in enumerate(keys)}
+    order = sources + topo + sinks
+    index = {k: i for i, k in enumerate(order)}
 
     edges = []
     crossings = []
@@ -392,7 +385,7 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
 
     # integer netflows
     nets = []
-    for k in keys:
+    for k in order:
         v = netflows[k]
         if v.denominator != 1:
             raise EmbeddingError("network construction needs integer markings")
@@ -400,8 +393,8 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
 
     # per-vertex edge orders from the boundary chains
     eidx = {cov: i for i, cov in enumerate(crossings)}
-    out_orders = [[] for _ in keys]
-    in_orders = [[] for _ in keys]
+    out_orders = [[] for _ in order]
+    in_orders = [[] for _ in order]
     for fi, face in enumerate(faces):
         if face.left != SENTINEL:
             for cov in _chain_covers(face.left):
@@ -410,28 +403,17 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
             for cov in _chain_covers(face.right):
                 in_orders[index[edge_head[cov]]].append(eidx[cov])
 
-    names = []
-    for k in keys:
-        fid = me.face_ids[k[1]]
-        if k[0] == "face":
-            names.append(fid)
-        elif k[0] == "src":
-            names.append(f"s{k[2] + 1}^{fid}")
-        elif k[0] == "rsrc":
-            names.append(f"s^{fid}")
-        elif k[0] == "sink":
-            names.append(f"t{k[2] + 1}^{fid}")
-        else:
-            names.append(f"t^{fid}")
-
+    # the keys name faces by id from here on
+    keys = tuple((k[0], me.face_ids[k[1]]) + k[2:] for k in order)
     network = FlowNetwork.make(
-        len(keys), edges, nets, in_orders=in_orders, out_orders=out_orders, names=names
+        len(keys), edges, nets, in_orders=in_orders, out_orders=out_orders,
+        names=[_vertex_name(k) for k in keys],
     )
     gap_bounds = []
-    for k in keys:
+    for k, key in zip(order, keys):
         if k[0] in ("src", "sink"):
-            marks = processed[k[1]]["marks"]
-            gap_bounds.append((k, (marks[k[2]], marks[k[2] + 1])))
+            marks = processed[k[1]][1]
+            gap_bounds.append((key, (marks[k[2]], marks[k[2] + 1])))
     return DualNetwork(me, network, keys, tuple(crossings), tuple(gap_bounds))
 
 

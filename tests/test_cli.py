@@ -1,5 +1,6 @@
 import json
 
+from gtflow import corpus
 from gtflow.cli import main
 from gtflow.flow import FlowNetwork
 from gtflow.gt import gt_embedding
@@ -51,10 +52,14 @@ def test_poset2flow_round_trip(tmp_path, capsys):
 
 
 def test_embedding_json_round_trip():
-    me = gt_embedding((2, 1, 0))
-    again = MarkedEmbedding.from_json(json.loads(json.dumps(me.to_json())))
-    assert again.mp == me.mp
-    assert again.faces == me.faces
+    for name, me in corpus.embeddings():
+        again = MarkedEmbedding.from_json(json.loads(json.dumps(me.to_json())))
+        assert again == me, name
+    # a file without face ids numbers its faces
+    data = gt_embedding((1, 0)).to_json()
+    for f in data["faces"]:
+        del f["id"]
+    assert MarkedEmbedding.from_json(data).face_ids == ("F0", "F1")
 
 
 def test_skew_check(capsys):
@@ -244,3 +249,40 @@ def test_malformed_bound_gives_one_line_and_exit_2(capsys):
 def test_negative_bound_gives_one_line_and_exit_2(capsys):
     assert main(["verify", "--scope", "gt", "--bounds", "n=-1"]) == 2
     assert capsys.readouterr().err == "gtflow: --bounds item 'n=-1' is negative\n"
+
+
+def test_unknown_face_flag_gives_one_line_and_exit_2(tmp_path, capsys):
+    data = gt_embedding((2, 1, 0)).to_json()
+    data["faces"][0]["flag"] = "Q"
+    fe = tmp_path / "flag.embedding.json"
+    fe.write_text(json.dumps(data))
+    assert main(["poset2flow", "--embedding", str(fe)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gtflow: need one flag per face, each 'L' or 'R'") and err.count("\n") == 1
+    # a face id that is not a string is bad input before anything hashes it
+    data = gt_embedding((2, 1, 0)).to_json()
+    data["faces"][0]["id"] = ["x"]
+    fe.write_text(json.dumps(data))
+    assert main(["bijection", "--embedding", str(fe), "--gaps", "2,1"]) == 2
+    assert capsys.readouterr().err == "gtflow: embedding face 'id' and 'flag' must be strings\n"
+
+
+def test_subdivide_simplify_with_edge_orders_on_one_side(tmp_path, capsys):
+    # a whisker (0, 2) that simplify prunes, and orders on one side only
+    data = {"n": 4, "edges": [[0, 2], [1, 2], [1, 3], [2, 3]], "netflow": [0, 1, 0, -1]}
+    f = tmp_path / "net.json"
+    results = []
+    for side, orders in (("in_orders", [[], [], [1, 0], [3, 2]]), ("out_orders", [[0], [2, 1], [3], []])):
+        f.write_text(json.dumps({**data, side: orders}))
+        code, out = run(capsys, "subdivide", "--network", str(f), "--simplify")
+        assert code == 0, side
+        results.append(json.loads(out))
+    assert [r["total_volume"] for r in results] == ["1", "1"]
+    root = [r["nodes"][0]["network"] for r in results]
+    assert root[0]["in_orders"] == [[], [0], [2, 1]] and "out_orders" not in root[0]
+    assert root[1]["out_orders"] == [[1, 0], [2], []] and "in_orders" not in root[1]
+
+
+def test_export_names_its_two_inputs(capsys):
+    assert main(["export"]) == 2
+    assert capsys.readouterr().err == "gtflow: export needs --network or --embedding\n"

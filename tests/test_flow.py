@@ -205,6 +205,19 @@ def test_simplify_drops_forced_zero_whiskers():
     assert kostant(s) == kostant(g)
 
 
+def test_simplify_renumbers_each_order_side_on_its_own():
+    edges = [(0, 2), (1, 2), (1, 3), (2, 3)]
+    ins = [(), (), (1, 0), (3, 2)]
+    outs = [(0,), (2, 1), (3,), ()]
+    for in_orders, out_orders in ((ins, None), (None, outs), (None, None)):
+        g = FlowNetwork.make(4, edges, (0, 1, 0, -1), in_orders, out_orders)
+        s, vmap, emap = simplify(g)
+        assert (vmap, emap) == ((1, 2, 3), (1, 2, 3))
+        assert s.in_orders == (None if in_orders is None else ((), (0,), (2, 1)))
+        assert s.out_orders == (None if out_orders is None else ((1, 0), (2,), ()))
+        assert kostant(s) == kostant(g)
+
+
 def test_flow_json_round_trip():
     g = TRIANGLE
     assert FlowNetwork.from_json(g.to_json()) == FlowNetwork.make(

@@ -18,6 +18,7 @@ from gtflow.poset import (
     lattice_points,
     marked_volume,
 )
+from gtflow.subdivision import full_subdivision_check
 from gtflow.transform import (
     SENTINEL,
     EmbeddingError,
@@ -313,9 +314,9 @@ def test_single_sink_embeddings_raises_on_an_embedding_without_a_dual(tmp_path, 
 
 
 def test_an_external_corpus_loads_each_file_under_its_stem(tmp_path, monkeypatch):
+    # a fixture is named by its file name without the .{kind}.json suffix
     net = dict(corpus.networks())["triangle"]
-    # to_json keeps no face ids, so the loaded embedding numbers its faces
-    me = MarkedEmbedding.from_json(dict(corpus.embeddings())["chain3"].to_json())
+    me = dict(corpus.embeddings())["chain3"]
     p = dict(corpus.posets())["vee"]
     full, empty = tmp_path / "full", tmp_path / "empty"
     full.mkdir()
@@ -327,9 +328,9 @@ def test_an_external_corpus_loads_each_file_under_its_stem(tmp_path, monkeypatch
         monkeypatch.setenv(corpus.CORPUS_ENV, str(full))
         for load in loaders:
             load.cache_clear()
-        assert corpus.networks() == (("t.network", net),)
-        assert corpus.embeddings() == (("c.embedding", me),)
-        assert corpus.posets() == (("v.poset", p),)
+        assert corpus.networks() == (("t", net),)
+        assert corpus.embeddings() == (("c", me),)
+        assert corpus.posets() == (("v", p),)
         monkeypatch.setenv(corpus.CORPUS_ENV, str(empty))
         for load in loaders:
             load.cache_clear()
@@ -337,3 +338,83 @@ def test_an_external_corpus_loads_each_file_under_its_stem(tmp_path, monkeypatch
     finally:
         for load in loaders:
             load.cache_clear()
+
+
+def test_validate_requires_one_flag_and_one_distinct_id_per_face():
+    me = dict(corpus.embeddings())["marked-interior"]
+    me.validate()
+    bad_flag = me.to_json()
+    bad_flag["faces"][1]["flag"] = "Q"
+    with pytest.raises(EmbeddingError, match="'L' or 'R'"):
+        MarkedEmbedding.from_json(bad_flag).validate()
+    cases = [
+        MarkedEmbedding.make(me.mp, me.faces, me.flags, ("Ft", "F", "F")),
+        MarkedEmbedding.make(me.mp, me.faces, me.flags, ("Ft", "F")),
+        MarkedEmbedding.make(me.mp, me.faces, ("L", "L"), me.face_ids),
+    ]
+    for bad in cases:
+        with pytest.raises(EmbeddingError):
+            bad.validate()
+        with pytest.raises(EmbeddingError):
+            build_G_PAlambda(bad)
+    with pytest.raises(EmbeddingError, match="distinct"):
+        full_subdivision_check(cases[0])
+
+
+# the mirror of the marked-interior fixture: F is flagged R and its marked
+# interior element b sits on its right chain, so F becomes a source remnant
+# s^F and two gap sinks; vertex keys, names, netflow, in- and out-orders per
+# flag assignment of (Ft, F, Fs)
+MIRROR_DUALS = {
+    "LRL": (
+        (("rsrc", "F"), ("src", "Fs", 0), ("src", "Fs", 1), ("src", "Fs", 2), ("src", "Fs", 3),
+         ("rsink", "Ft"), ("sink", "F", 0), ("sink", "F", 1)),
+        ("s^F", "s1^Fs", "s2^Fs", "s3^Fs", "s4^Fs", "t^Ft", "t1^F", "t2^F"),
+        (3, 0, 2, 1, 0, -3, -2, -1),
+        ((), (), (), (), (), (2, 0, 1, 5), (3,), (4,)),
+        ((0, 1), (2,), (3,), (4,), (5,), (), (), ()),
+    ),
+    "LRR": (
+        (("rsrc", "F"), ("rsrc", "Fs"), ("rsink", "Ft"), ("sink", "F", 0), ("sink", "F", 1)),
+        ("s^F", "s^Fs", "t^Ft", "t1^F", "t2^F"),
+        (3, 3, -3, -2, -1),
+        ((), (), (2, 0, 1, 5), (3,), (4,)),
+        ((0, 1), (2, 3, 4, 5), (), (), ()),
+    ),
+    "RRL": (
+        (("rsrc", "F"), ("src", "Fs", 0), ("src", "Fs", 1), ("src", "Fs", 2), ("src", "Fs", 3),
+         ("sink", "Ft", 0), ("sink", "Ft", 1), ("sink", "Ft", 2), ("sink", "F", 0), ("sink", "F", 1)),
+        ("s^F", "s1^Fs", "s2^Fs", "s3^Fs", "s4^Fs", "t1^Ft", "t2^Ft", "t3^Ft", "t1^F", "t2^F"),
+        (3, 0, 2, 1, 0, 0, -3, 0, -2, -1),
+        ((), (), (), (), (), (2,), (0, 1), (5,), (3,), (4,)),
+        ((0, 1), (2,), (3,), (4,), (5,), (), (), (), (), ()),
+    ),
+    "RRR": (
+        (("rsrc", "F"), ("rsrc", "Fs"), ("sink", "Ft", 0), ("sink", "Ft", 1), ("sink", "Ft", 2),
+         ("sink", "F", 0), ("sink", "F", 1)),
+        ("s^F", "s^Fs", "t1^Ft", "t2^Ft", "t3^Ft", "t1^F", "t2^F"),
+        (3, 3, 0, -3, 0, -2, -1),
+        ((), (), (2,), (0, 1), (5,), (3,), (4,)),
+        ((0, 1), (2, 3, 4, 5), (), (), (), (), ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(MIRROR_DUALS))
+def test_right_flagged_inner_face_gives_a_source_remnant(flags):
+    p = Poset.from_covers(
+        ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")]
+    )
+    mp = MarkedPoset.make(p, {"a": 0, "b": 1, "c": 3})
+    faces = [
+        Face.make(SENTINEL, [TOP, "c", "d", "a", BOTTOM]),
+        Face.make(["c", "d", "a"], ["c", "b", "a"]),
+        Face.make([TOP, "c", "b", "a", BOTTOM], SENTINEL),
+    ]
+    me = MarkedEmbedding.make(mp, faces, tuple(flags), ("Ft", "F", "Fs"))
+    dn = build_G_PAlambda(me)
+    net = dn.network
+    assert (dn.vertex_keys, net.names, net.netflow, net.in_orders, net.out_orders) == MIRROR_DUALS[flags]
+    assert dn.crossings == (("d", "c"), ("a", "d"), ("c", TOP), ("b", "c"), ("a", "b"), (BOTTOM, "a"))
+    assert kostant(net) == len(lattice_points(mp)) == 4
+    gamma_bijection_case(me)

@@ -1,8 +1,9 @@
 """The identity harness: its record families and the bounds it reads."""
 
+import json
 from collections import Counter
 
-from gtflow import verify
+from gtflow import corpus, verify
 
 PROMOTED = (
     "gt/pts:weyl=ssyt",
@@ -37,3 +38,19 @@ def test_run_verify_reads_its_defaults_from_default_bounds(monkeypatch):
     records = verify.run_verify("gt")["results"]
     instances = {r["instance"] for r in records if r["identity"] == "gt/pts:weyl=ssyt"}
     assert instances == {"(0,)", "(1,)", "(0, 0)", "(1, 0)", "(1, 1)"}
+
+
+def test_an_exported_builtin_corpus_gives_the_same_report(tmp_path, monkeypatch):
+    builtin = json.dumps(verify.run_verify("all"), sort_keys=True)
+    for kind, load in (("network", corpus.networks), ("embedding", corpus.embeddings), ("poset", corpus.posets)):
+        for name, fixture in load():
+            (tmp_path / f"{name}.{kind}.json").write_text(json.dumps(fixture.to_json()))
+    loaders = (corpus.networks, corpus.embeddings, corpus.posets)
+    monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
+    try:
+        for load in loaders:
+            load.cache_clear()
+        assert json.dumps(verify.run_verify("all"), sort_keys=True) == builtin
+    finally:
+        for load in loaders:
+            load.cache_clear()
