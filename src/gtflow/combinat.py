@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -104,38 +102,45 @@ class _Layout(NamedTuple):
     n: int
     starts: tuple[int, ...]  # flat index of cell (i, i) for i = 1..n, then N
     values: list[int]  # 1..N
-    smaller: Callable  # entries -> the smaller cell of every row and column pair
-    larger: Callable  # entries -> the larger cell of the same pairs
+    ordered: Callable  # entries -> whether every row pair and column pair increases
+
+
+def _compile_order_check(n: int, starts: tuple[int, ...]) -> Callable:
+    """entries -> whether e(i, j) < e(i, j+1) and e(i, j) < e(i+1, j) for
+    every such pair of cells: one chained comparison per row and one
+    comparison per column pair, over fixed indices, compiled once (the way
+    namedtuple builds its methods) so that a check is one call."""
+    rows = [
+        " < ".join(f"e[{k}]" for k in range(starts[i], starts[i + 1]))
+        for i in range(n)
+        if starts[i + 1] - starts[i] >= 2
+    ]
+    columns = [
+        f"e[{starts[i] + k + 1}] < e[{starts[i + 1] + k}]"
+        for i in range(n - 1)
+        for k in range(n - i - 1)
+    ]
+    return eval(f"lambda e: {' and '.join(rows + columns) or 'True'}", {"__builtins__": {}})
 
 
 @lru_cache(maxsize=None)
 def _staircase_layout(size: int) -> _Layout | None:
     """The layout of a staircase tableau with `size` entries, or None when
-    size is not binom(n+1, 2).  The getters pair up every row pair
-    (i, j) < (i, j+1) and column pair (i, j) < (i+1, j)."""
+    size is not binom(n+1, 2) for some n >= 1."""
     n = (math.isqrt(8 * size + 1) - 1) // 2
-    if n * (n + 1) // 2 != size:
+    if n < 1 or n * (n + 1) // 2 != size:
         return None
     starts = tuple(i * n - i * (i - 1) // 2 for i in range(n + 1))
-    smaller: list[int] = []
-    larger: list[int] = []
-    for i in range(n):
-        for k in range(n - i - 1):
-            smaller += [starts[i] + k, starts[i] + k + 1]
-            larger += [starts[i] + k + 1, starts[i + 1] + k]
-    values = list(range(1, size + 1))
-    if not smaller:  # n <= 1 has no pairs, and itemgetter needs an index
-        return _Layout(n, starts, values, lambda entries: (), lambda entries: ())
-    return _Layout(n, starts, values, itemgetter(*smaller), itemgetter(*larger))
+    return _Layout(n, starts, list(range(1, size + 1)), _compile_order_check(n, starts))
 
 
 @dataclass(frozen=True, slots=True)
 class ShiftedTableau:
     """Shifted standard tableau of staircase shape, stored row-major.
 
-    entries lists cells (1, 1), ..., (1, n), (2, 2), ..., (n, n); they are a
-    permutation of 1..binom(n+1, 2), strictly increasing along rows and down
-    columns.
+    entries lists cells (1, 1), ..., (1, n), (2, 2), ..., (n, n) for some
+    n >= 1; they are a permutation of 1..binom(n+1, 2), strictly increasing
+    along rows and down columns.
     """
 
     entries: tuple[int, ...]
@@ -145,19 +150,13 @@ class ShiftedTableau:
             raise TypeError("entries must be a tuple")
         layout = _staircase_layout(len(self.entries))
         if layout is None:
+            if not self.entries:
+                raise ValueError("a staircase tableau needs n >= 1")
             raise ValueError("entries must number binom(n+1,2) for some n")
         if sorted(self.entries) != layout.values:
             raise ValueError("entries must be a permutation of 1..binom(n+1,2)")
-        if not all(map(lt, layout.smaller(self.entries), layout.larger(self.entries))):
+        if not layout.ordered(self.entries):
             self._raise_first_violation()
-
-    @classmethod
-    def from_rows(cls, rows) -> ShiftedTableau:
-        """The tableau whose rows[i-1] holds cells (i, i), ..., (i, n)."""
-        rows = tuple(rows)
-        if tuple(map(len, rows)) != tuple(range(len(rows), 0, -1)):
-            raise ValueError("rows must have staircase lengths n, n-1, ..., 1")
-        return cls(tuple(chain.from_iterable(rows)))
 
     def _raise_first_violation(self) -> None:
         n = self.n
@@ -187,13 +186,12 @@ class ShiftedTableau:
         return self.entries[self._layout.starts[i - 1] + j - i]
 
     def diagonal(self) -> tuple[int, ...]:
-        e = self.entries
-        return tuple(e[k] for k in self._layout.starts[:-1])
+        return tuple(map(self.entries.__getitem__, self._layout.starts[:-1]))
 
     def diagonal_composition(self) -> tuple[int, ...]:
         """b with T(i,i) = i + b_1 + ... + b_{i-1}."""
         d = self.diagonal()
-        return tuple(d[i + 1] - d[i] - 1 for i in range(self.n - 1))
+        return tuple([y - x - 1 for x, y in zip(d, d[1:])])
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +235,10 @@ def walk_shsyt(n: int, emit) -> None:
     Values 1..N are placed in increasing order; at each step the addable
     cells of the filled sub-staircase are tried row-major.  Every path from
     the empty staircase to the full one writes each cell of one row-major
-    buffer once, so a leaf's buffer is its tableau.
+    buffer once, so a leaf's buffer is its tableau.  A state with a single
+    addable cell forces its move, so each move is followed through the run
+    of forced moves after it, and the walk branches only where a state has
+    two or more.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -245,13 +246,25 @@ def walk_shsyt(n: int, emit) -> None:
     total = n * (n + 1) // 2
     buf = [0] * total
 
+    def forced_run(cell: int, t: int) -> tuple[tuple[int, ...], int]:
+        """The cells filled by the move into state t and the forced moves
+        after it, in order, and the state where they stop."""
+        cells = [cell]
+        while len(moves[t]) == 1:
+            [(_, cell, t)] = moves[t]
+            cells.append(cell)
+        return tuple(cells), t
+
+    runs = [[forced_run(cell, t) for _, cell, t in m] for m in moves]
+
     def rec(s: int, v: int) -> None:
-        if v > total:
-            emit(ShiftedTableau(tuple(buf)))
-            return
-        for _, cell, t in moves[s]:
-            buf[cell] = v
-            rec(t, v + 1)
+        for cells, t in runs[s]:
+            for w, cell in enumerate(cells, v):
+                buf[cell] = w
+            if w == total:
+                emit(ShiftedTableau(tuple(buf)))
+            else:
+                rec(t, w + 1)
 
     rec(0, 1)
 

@@ -10,9 +10,12 @@ x_{i-1,j-1} >= x_{ij} >= x_{i-1,j}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from .combinat import ShiftedTableau, as_partition, diagonal_counts, shifted_cells
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
@@ -195,20 +198,13 @@ def build_G_lambda(lam) -> GTNetwork:
     return GTNetwork(n, g, tuple(cells), tuple(labels))
 
 
-@lru_cache(maxsize=None)
-def _zero_G_lambda(n: int) -> GTNetwork:
-    """build_G_lambda((0,) * n), built once per n: the tableau bijections
-    read it at every level of their recursion."""
-    return build_G_lambda((0,) * n)
-
-
 def shifted_netflow(n: int, b) -> tuple[int, ...]:
     """(b_1-1, ..., b_{n-1}-1, -1, ..., -1, 0, ..., 0, 0) in canonical order."""
-    b = tuple(int(x) for x in b)
-    if len(b) != n - 1:
+    head = [int(x) - 1 for x in b]
+    if len(head) != n - 1:
         raise ValueError(f"b needs {n - 1} entries")
     rest = (n - 1) * (n - 2) // 2
-    return tuple(x - 1 for x in b) + (-1,) * rest + (0,) * (2 * (n - 1)) + (0,)
+    return (*head, *(-1,) * rest, *(0,) * (2 * (n - 1)), 0)
 
 
 def gt_volume_lidskii(lam) -> Fraction:
@@ -281,90 +277,132 @@ def flow_to_gt(lam, flow) -> GTPattern:
 # shifted tableaux <-> flows (the diagonal-count bijection)
 
 
-def _netflow_of(g: FlowNetwork, flow) -> list[int]:
-    """out - in of `flow` at each vertex of g."""
-    net = [0] * g.num_vertices
-    for x, (u, w) in zip(flow, g.edges):
-        net[u] += x
-        net[w] -= x
-    return net
+def _compile_tuple(arg: str, items: list[str]) -> Callable:
+    """arg -> the tuple of the expressions in items, compiled once (the way
+    namedtuple builds its methods) so that it runs as one call."""
+    return eval(f"lambda {arg}: ({''.join(x + ', ' for x in items)})", {"__builtins__": {}})
+
+
+class _TableauFlowMaps(NamedTuple):
+    """The tableau/flow bijection at side n, compiled over index arrays.  A
+    cell index is a place in ShiftedTableau.entries, an edge index a place
+    in a flow on G_lambda((0,) * n)."""
+
+    rows: tuple[int, ...]  # cell index -> its row, 0-based
+    num_edges: int
+    # above -> the flow of shsyt_to_flow, where above[k] counts the smaller
+    # values in the rows above cell k
+    flow_of: Callable
+    netflow: Callable  # flow -> out - in at each vertex
+    # flow -> the outflows plus one of the vertices of rows n, n - 1, ..., 2
+    # in turn: peel level m = 2..n reads the m - 1 of row n - m + 2, its
+    # diagonal gaps
+    gaps: Callable
+    # cell index -> its place in the peel's value list, which holds the
+    # diagonal bands j - i = n - 1, ..., 1, 0 in turn, each by row
+    order: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _tableau_flow_maps(n: int) -> _TableauFlowMaps:
+    gtn = build_G_lambda((0,) * n)
+    cells = shifted_cells(n)
+    cell = {c: k for k, c in enumerate(cells)}
+    terms = []
+    for kind, *at in gtn.edge_labels:
+        if kind in ("a", "b"):
+            r, j = at
+            i = j - r + 1
+            if kind == "a":
+                terms.append(f"A[{cell[i, j]}] - A[{cell[i, j - 1]}]")
+            else:
+                terms.append(f"A[{cell[i + 1, j]}] - A[{cell[i, j]}] - {j - i + 1}")
+        else:  # the chains carry no flow
+            terms.append("0")
+    net = [""] * gtn.network.num_vertices
+    for k, (u, w) in enumerate(gtn.network.edges):
+        net[u] += f" + f[{k}]"
+        net[w] += f" - f[{k}]"
+    index = gtn.edge_index
+    gaps = [
+        f"f[{index['a', r, c]}] + f[{index['b', r, c]}] + 1" for r in range(n, 1, -1) for c in range(r, n + 1)
+    ]
+    # the bands j - i > d hold (n - d - 1)(n - d) / 2 cells
+    order = tuple((n - j + i - 1) * (n - j + i) // 2 + i - 1 for i, j in cells)
+    return _TableauFlowMaps(
+        tuple(i - 1 for i, _ in cells),
+        len(terms),
+        _compile_tuple("A", terms),
+        _compile_tuple("f", [x or "0" for x in net]),
+        _compile_tuple("f", gaps),
+        order,
+    )
 
 
 def shsyt_to_flow(t: ShiftedTableau) -> tuple[int, ...]:
-    """Flow on G_lambda(n) realizing the tableau, via the counting formulas
-    for the a and b edge values; the chain edges carry zero flow."""
+    """Flow on G_lambda(n) realizing the tableau; the chain edges carry zero
+    flow.  Edge ("a", r, c), with i = c - r + 1 and j = c, carries the number
+    of values between T(i, j-1) and T(i, j) in rows < i (all of them lie in
+    columns >= j); edge ("b", r, c) the number between T(i, j) and T(i+1, j)
+    in rows <= i (all in columns > j).
+
+    Both are differences of above(i, j), the number of values below T(i, j)
+    in rows < i, which one pass over the values computes from the inverse
+    permutation: a = above(i, j) - above(i, j-1) and
+    b = above(i+1, j) - above(i, j) - (j - i + 1), since the values up to
+    T(i, j) in rows <= i are the above(i, j) ones in rows < i and the
+    j - i + 1 of row i up to T(i, j).
+    """
     n = t.n
-    if n == 1:
-        return ()
-    gtn = _zero_G_lambda(n)
-    values = [0] * len(gtn.network.edges)
-    rows = t.rows
-    cells = list(zip(shifted_cells(n), t.entries))
-    for r in range(2, n + 1):
-        for c in range(r, n + 1):
-            i, j = c - r + 1, c
-            row = rows[i - 1]
-            lo, hi = row[j - 1 - i], row[j - i]
-            a = sum(1 for (ii, jj), v in cells if ii < i and jj >= j and lo < v < hi)
-            values[gtn.edge_index[("a", r, c)]] = a
-            if i + 1 <= j:
-                lo, hi = hi, rows[i][j - i - 1]
-                b = sum(1 for (ii, jj), v in cells if ii <= i and jj > j and lo < v < hi)
-                values[gtn.edge_index[("b", r, c)]] = b
-    if tuple(_netflow_of(gtn.network, values)) != shifted_netflow(n, t.diagonal_composition()):
+    maps = _tableau_flow_maps(n)
+    rows = maps.rows
+    e = t.entries
+    above = [0] * len(e)
+    per_row = [0] * n
+    for k in sorted(range(len(e)), key=e.__getitem__):
+        r = rows[k]
+        above[k] = sum(per_row[:r])
+        per_row[r] += 1
+    values = maps.flow_of(above)
+    if maps.netflow(values) != shifted_netflow(n, t.diagonal_composition()):
         raise ValueError("tableau flow fails conservation")
-    return tuple(values)
+    return values
 
 
 def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
-    """Tableau from a flow on G_lambda(n) with a diagonal-shifted netflow, by the
-    inductive peeling of the source row."""
+    """Tableau from a flow on G_lambda(n) with a diagonal-shifted netflow, by
+    peeling the rows of G_lambda from the last to the source row.
+
+    Level m = 1..n builds the side-m tableau on the cells (i, j) with
+    j - i >= n - m.  Its diagonal gaps b are the outflows of the vertices of
+    row n - m + 2, plus one; its diagonal band j - i = n - m takes the values
+    i + b_1 + ... + b_{i-1}, and each value e of the levels before it moves
+    past them to e + k, where k is the first index with e <= b_1 + ... + b_k.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     flow = tuple(flow)
-    gtn = _zero_G_lambda(n)
-    if len(flow) != len(gtn.network.edges):
+    maps = _tableau_flow_maps(n)
+    if len(flow) != maps.num_edges:
         raise ValueError("flow has the wrong number of edges")
-    if any(v < 0 for v in flow):
+    if min(flow, default=0) < 0:
         raise ValueError("flow values must be nonnegative")
     # netflow (out - in) at each vertex, then sanity-check its shape
-    net = _netflow_of(gtn.network, flow)
-    b = tuple(net[k] + 1 for k in range(n - 1))
-    if any(x < 0 for x in b):
+    net = maps.netflow(flow)
+    b = [x + 1 for x in net[: n - 1]]
+    if min(b, default=0) < 0:
         raise ValueError("netflow at a source is below -1")
-    expected = shifted_netflow(n, b)
-    if tuple(net) != expected:
+    if net != shifted_netflow(n, b):
         raise ValueError("flow netflow is not of the diagonal-shifted shape")
-    if n == 1:
-        return ShiftedTableau((1,))
-    # restrict to the subnetwork on rows >= 3, relabelled down by one
-    sub = _zero_G_lambda(n - 1)
-    subflow = [0] * len(sub.network.edges)
-    for lab, k in sub.edge_index.items():
-        if lab[0] == "a":
-            _, i, j = lab
-            subflow[k] = flow[gtn.edge_index[("a", i + 1, j + 1)]]
-        elif lab[0] == "b":
-            _, i, j = lab
-            subflow[k] = flow[gtn.edge_index[("b", i + 1, j + 1)]]
-    # chain flows of the subnetwork are the partial sums forced by conservation
-    for i in range(3, n + 1):
-        g = sum(subflow[sub.edge_index[("a", t, t)]] for t in range(2, i))
-        subflow[sub.edge_index[("gamma", i)]] = g
-        d = sum(subflow[sub.edge_index[("b", t, n - 1)]] for t in range(2, i))
-        subflow[sub.edge_index[("delta", i)]] = d
-    tprime = flow_to_shsyt(n - 1, subflow)
-    prefix = [0]
-    for x in b:
-        prefix.append(prefix[-1] + x)
-
-    def shift(e: int) -> int:
-        for k in range(1, n):
-            if e <= prefix[k]:
-                return e + k
-        raise ValueError("entry exceeds the diagonal composition range")
-
-    sub_rows = tprime.rows
-    rows = [(i + prefix[i - 1], *map(shift, sub_rows[i - 1])) for i in range(1, n)]
-    return ShiftedTableau.from_rows(rows + [(n + prefix[n - 1],)])
+    gaps = maps.gaps(flow)
+    vals = [1]  # level 1: the side-1 tableau
+    start = 0
+    for m in range(2, n + 1):
+        prefix = list(accumulate(gaps[start : start + m - 1], initial=0))
+        start += m - 1
+        vals = [x + bisect_left(prefix, x) for x in vals]
+        vals += [i + d for i, d in enumerate(prefix, 1)]
+    return ShiftedTableau(tuple(map(vals.__getitem__, maps.order)))
 
 
 # ---------------------------------------------------------------------------

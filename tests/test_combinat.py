@@ -113,14 +113,18 @@ def test_enumerate_shsyt_matches_cell_scan_in_order(n):
     assert [t.rows for t in enumerate_shsyt(n)] == cell_scan_shsyt(n)
 
 
+def flatten(rows):
+    return tuple(x for row in rows for x in row)
+
+
 def test_shifted_tableau_invariants_rejected():
     with pytest.raises(ValueError):
-        ShiftedTableau.from_rows(((2, 1), (3,)))
+        ShiftedTableau(flatten(((2, 1), (3,))))
     with pytest.raises(ValueError):
-        ShiftedTableau.from_rows(((1, 3), (2,)))
+        ShiftedTableau(flatten(((1, 3), (2,))))
     rejected = [
-        (((1, 2, 4), (3, 5), (6, 7)), "rows must have staircase lengths"),
-        (((1, 2, 4), (3, 5)), "rows must have staircase lengths"),
+        (((1, 2, 4), (3, 5), (6, 7)), "must number binom"),
+        (((1, 2, 4), (3, 5)), "must number binom"),
         (((1, 2, 4), (3, 5), (5,)), "must be a permutation"),
         (((1, 2, 4), (3, 5), (7,)), "must be a permutation"),
         (((1, 2, 3), (5, 4), (6,)), r"row violation at \(2,2\)"),
@@ -130,8 +134,8 @@ def test_shifted_tableau_invariants_rejected():
     ]
     for rows, message in rejected:
         with pytest.raises(ValueError, match=message):
-            ShiftedTableau.from_rows(rows)
-    ShiftedTableau.from_rows(((1, 2, 4), (3, 5), (6,)))
+            ShiftedTableau(flatten(rows))
+    ShiftedTableau(flatten(((1, 2, 4), (3, 5), (6,))))
     flat_rejected = [
         ((1, 2), "must number binom"),
         ((1, 2, 3, 4), "must number binom"),
@@ -139,6 +143,7 @@ def test_shifted_tableau_invariants_rejected():
         ((0, 1, 2), "must be a permutation"),
         ((1, 2, 3, 4, 5, 7), "must be a permutation"),
         ((2, 1, 3), r"row violation at \(1,1\)"),
+        ((), r"needs n >= 1"),
     ]
     for entries, message in flat_rejected:
         with pytest.raises(ValueError, match=message):
@@ -152,7 +157,7 @@ def test_shifted_tableau_invariants_rejected():
 def test_shifted_tableau_row_major_accessors(n):
     for t in enumerate_shsyt(n):
         rows = t.rows
-        again = ShiftedTableau.from_rows(rows)
+        again = ShiftedTableau(flatten(rows))
         assert again == t and hash(again) == hash(t)
         assert t.n == len(rows) == n
         for i in range(1, n + 1):
@@ -163,6 +168,46 @@ def test_shifted_tableau_row_major_accessors(n):
         assert t.diagonal_composition() == tuple(
             diagonal[i + 1] - diagonal[i] - 1 for i in range(n - 1)
         )
+
+
+def pairwise_first_violation(n, entries):
+    """The first row pair (i, j) < (i, j+1) or column pair (i, j) < (i+1, j)
+    that entries break, scanning cells row-major, as the error it raises;
+    None when every pair increases."""
+    cell = {c: k for k, c in enumerate((i, j) for i in range(1, n + 1) for j in range(i, n + 1))}
+    for (i, j), k in cell.items():
+        if (i, j + 1) in cell and not entries[k] < entries[cell[i, j + 1]]:
+            return f"row violation at ({i},{j})"
+        if (i + 1, j) in cell and not entries[k] < entries[cell[i + 1, j]]:
+            return f"column violation at ({i},{j})"
+    return None
+
+
+def test_compiled_order_check_is_the_pairwise_rule():
+    # tableaux from the cell scan, so the walk's own validation is not used
+    for n in range(1, 6):
+        for rows in cell_scan_shsyt(n):
+            entries = flatten(rows)
+            assert pairwise_first_violation(n, entries) is None
+            assert ShiftedTableau(entries).entries == entries
+    for n in range(1, 5):
+        for rows in cell_scan_shsyt(n):
+            entries = flatten(rows)
+            for a in range(len(entries)):
+                for b in range(a + 1, len(entries)):
+                    swapped = list(entries)
+                    swapped[a], swapped[b] = swapped[b], swapped[a]
+                    swapped = tuple(swapped)
+                    expected = pairwise_first_violation(n, swapped)
+                    if expected is None:
+                        assert ShiftedTableau(swapped).entries == swapped
+                    else:
+                        with pytest.raises(ValueError) as raised:
+                            ShiftedTableau(swapped)
+                        assert str(raised.value) == expected
+    for n in range(1, 31):
+        size = n * (n + 1) // 2
+        assert ShiftedTableau(tuple(range(1, size + 1))).n == n
 
 
 def test_walk_output_is_validated(monkeypatch):

@@ -2,7 +2,7 @@ import math
 import pytest
 
 from gtflow import flow, gt
-from gtflow.combinat import count_N, count_ssyt, enumerate_compositions, enumerate_shsyt
+from gtflow.combinat import ShiftedTableau, count_N, count_ssyt, enumerate_compositions, enumerate_shsyt
 from gtflow.flow import enumerate_integer_flows, kostant, lidskii_points_binomial, lidskii_volume
 from gtflow.gt import (
     build_G_lambda,
@@ -128,6 +128,41 @@ def test_shsyt_flow_round_trip_small():
             assert back == t
 
 
+def test_flow_to_shsyt_rejects_exactly_the_non_flows():
+    # every flow on G_lambda(0^n) with a diagonal-shifted netflow, and every
+    # change of one edge of one by +-1: a vector is accepted exactly when it
+    # is such a flow, and its tableau maps back to it
+    changes = 0
+    for n in (1, 2, 3, 4):
+        network = build_G_lambda((0,) * n).network
+        total = n * (n - 1) // 2
+        flows = {
+            f
+            for b in enumerate_compositions(total, n - 1)
+            for f in enumerate_integer_flows(network, shifted_netflow(n, b))
+        }
+        for f in flows:
+            assert shsyt_to_flow(flow_to_shsyt(n, f)) == f
+            for k in range(len(f)):
+                for step in (-1, 1):
+                    g = f[:k] + (f[k] + step,) + f[k + 1 :]
+                    changes += 1
+                    if g in flows:
+                        assert shsyt_to_flow(flow_to_shsyt(n, g)) == g
+                    else:
+                        with pytest.raises(ValueError):
+                            flow_to_shsyt(n, g)
+    assert changes == 480
+
+
+def test_tableau_maps_need_n_at_least_1():
+    with pytest.raises(ValueError, match="n >= 1"):
+        shsyt_to_flow(ShiftedTableau(()))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            flow_to_shsyt(n, ())
+
+
 def test_shsyt_to_flow_diagonal_and_border_zeros():
     for n in (2, 3, 4):
         gtn = build_G_lambda((0,) * n)
@@ -195,8 +230,8 @@ def test_lidskii_routes_run_no_kostant_dp(monkeypatch):
 
 
 def test_tableau_round_trip_builds_each_zero_network_once(monkeypatch):
-    # flow_to_shsyt / shsyt_to_flow read G_lambda((0,)*k) at every level of
-    # their recursion; each k = 1..5 is built once, not once per level
+    # flow_to_shsyt / shsyt_to_flow read their index arrays over
+    # G_lambda((0,)*n) from one cache per n: the n = 5 network is built once
     calls = []
     build = gt.build_G_lambda
 
@@ -205,10 +240,10 @@ def test_tableau_round_trip_builds_each_zero_network_once(monkeypatch):
         return build(lam)
 
     monkeypatch.setattr(gt, "build_G_lambda", counting)
-    gt._zero_G_lambda.cache_clear()
+    gt._tableau_flow_maps.cache_clear()
     try:
         for t in enumerate_shsyt(5):
             assert flow_to_shsyt(5, shsyt_to_flow(t)) == t
     finally:
-        gt._zero_G_lambda.cache_clear()
-    assert len(calls) <= 5
+        gt._tableau_flow_maps.cache_clear()
+    assert calls == [(0,) * 5]
