@@ -89,6 +89,8 @@ _GT_METHODS = {
 
 def cmd_gt(args) -> int:
     lam = as_partition(_parse_ints(args.partition))
+    if not lam:
+        raise ValueError("gt needs a partition with at least one part")
     if args.what in _GT_METHODS:
         methods = _GT_METHODS[args.what]
         method = args.method or "product"

@@ -89,17 +89,21 @@ def _diamond_embedding(marking) -> MarkedEmbedding:
     return MarkedEmbedding.make(mp, faces, face_ids=("Ft", "Fmid", "Fs"))
 
 
-def _marked_interior_face() -> MarkedEmbedding:
+def _marked_interior_face(mirror=False) -> MarkedEmbedding:
+    """The square a < b, d < c marked at a, b, c, with the marked b inside
+    F's flagged chain: its left chain, or in the mirror, with F flagged R,
+    its right chain, which makes F a source remnant."""
     p = Poset.from_covers(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")]
     )
     mp = MarkedPoset.make(p, {"a": 0, "b": 1, "c": 3})
+    left, right = ("d", "b") if mirror else ("b", "d")
     faces = [
-        Face.make(SENTINEL, [TOP, "c", "b", "a", BOTTOM]),
-        Face.make(["c", "b", "a"], ["c", "d", "a"]),
-        Face.make([TOP, "c", "d", "a", BOTTOM], SENTINEL),
+        Face.make(SENTINEL, [TOP, "c", left, "a", BOTTOM]),
+        Face.make(["c", left, "a"], ["c", right, "a"]),
+        Face.make([TOP, "c", right, "a", BOTTOM], SENTINEL),
     ]
-    return MarkedEmbedding.make(mp, faces, face_ids=("Ft", "F", "Fs"))
+    return MarkedEmbedding.make(mp, faces, ("L", "R" if mirror else "L", "L"), ("Ft", "F", "Fs"))
 
 
 def _three_arms() -> MarkedEmbedding:
@@ -143,6 +147,7 @@ def _builtin_embeddings() -> list[tuple[str, MarkedEmbedding]]:
         ("diamond-marked-arm", _diamond_embedding({"a": 0, "c": 4, "y": 2})),
         ("three-arms", _three_arms()),
         ("marked-interior", _marked_interior_face()),
+        ("marked-interior-mirror", _marked_interior_face(mirror=True)),
         ("n-poset-full", _n_poset_full()),
         ("stacked-diamonds", _stacked_diamonds()),
         ("skew-21-10", build_skew_gt((2, 1), (1, 0), 3)),

@@ -167,6 +167,8 @@ def build_G_lambda(lam) -> GTNetwork:
     vertex order (row sources, interior cells, the two border chains, sink)."""
     lam = as_partition(lam)
     n = len(lam)
+    if n == 0:
+        raise ValueError("G_lambda needs a partition with at least one part")
     if n == 1:
         g = FlowNetwork.make(1, [], (0,), names=["v2_2"])
         return GTNetwork(1, g, ((2, 2),), ())

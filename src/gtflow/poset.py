@@ -278,7 +278,11 @@ class MarkedPoset:
 
     @staticmethod
     def from_json(data: dict) -> "MarkedPoset":
-        return MarkedPoset.make(Poset.from_json(data), data.get("marked", {}))
+        poset = Poset.from_json(data)
+        marked = data.get("marked", {})
+        if not isinstance(marked, dict):
+            raise PosetError("poset JSON 'marked' must be an object")
+        return MarkedPoset.make(poset, marked)
 
 
 def hat_poset(p: Poset) -> Poset:

@@ -303,22 +303,38 @@ def reduction_tree_volume(tree: ReductionTree) -> Fraction:
     return sum((leaf_volume(n) for n in tree.leaf_networks()), Fraction(0))
 
 
-def interior_sample_disjoint(tree: ReductionTree) -> bool:
-    """Interior lattice points of the leaf cells dilated by 2, pushed into
-    root coordinates, must not collide across distinct leaves."""
-    seen: dict[tuple, int] = {}
+def interior_sample_disjoint(tree: ReductionTree) -> tuple[int | None, int, bool]:
+    """Interior lattice points of the leaf cells, pushed into root
+    coordinates, must not collide across distinct leaves.
+
+    A leaf flow with every edge >= 1 is y + 1 for a flow y of netflow
+    t*a - delta, where delta_v = outdeg(v) - indeg(v).  The sample is taken
+    at the smallest dilation t <= dim + 1 at which `kostant` finds such a y
+    on every leaf.  Returns (t, number of points, disjoint), and
+    (None, 0, False) if there is no such t.
+    """
+    leaves = [tree.nodes[li] for li in tree.leaves()]
+
+    def shifted(net, t):
+        return [t * a - net.outdeg(v) + net.indeg(v) for v, a in enumerate(net.netflow)]
+
+    dim = tree.root.network.dimension()
+    t = next(
+        (t for t in range(1, dim + 2) if all(kostant(n.network, shifted(n.network, t)) for n in leaves)),
+        None,
+    )
+    if t is None:
+        return None, 0, False
     m = len(tree.root.network.edges)
-    for li in tree.leaves():
-        net = tree.nodes[li].network
-        scaled = net.with_netflow(tuple(2 * x for x in net.netflow))
-        for f in enumerate_integer_flows(scaled):
-            if any(x < 1 for x in f):
-                continue
-            point = _root_point(f, tree.nodes[li].inclusion, m)
-            if point in seen and seen[point] != li:
-                return False
-            seen[point] = li
-    return True
+    seen: dict[tuple, int] = {}
+    points = 0
+    disjoint = True
+    for li, node in enumerate(leaves):
+        for y in enumerate_integer_flows(node.network, shifted(node.network, t)):
+            point = _root_point([x + 1 for x in y], node.inclusion, m)
+            disjoint = disjoint and seen.setdefault(point, li) == li
+            points += 1
+    return t, points, disjoint
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +386,6 @@ def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> Marked
     poset_pairs = [(a, b) for a, b in chain_pairs if a not in hats and b not in hats]
     new_poset = me.mp.poset.with_relations(poset_pairs)
     boundary = set(_chain_covers(face.left)) | set(_chain_covers(face.right))
-    old_hat = set(me.hat_poset.covers)
     new_mp = MarkedPoset(new_poset, me.mp.marking_items)
     pos = {e: t for t, e in enumerate(sigma)}
 
@@ -395,13 +410,7 @@ def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> Marked
         faces.append(Face(reroute(g.left), reroute(g.right)))
         flags.append(me.flags[gi])
         ids.append(me.face_ids[gi])
-    child = MarkedEmbedding.make(new_mp, faces, flags, tuple(ids), hat_values=me.hat_values)
-    new_hat = set(child.hat_poset.covers)
-    destroyed = old_hat - new_hat
-    if not destroyed <= boundary:
-        raise EmbeddingError("subdivision destroyed a cover outside the face")
-    child.validate()
-    return child
+    return MarkedEmbedding.make(new_mp, faces, flags, tuple(ids), hat_values=me.hat_values)
 
 
 # ---------------------------------------------------------------------------

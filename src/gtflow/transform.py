@@ -72,7 +72,8 @@ class MarkedEmbedding:
     """Embedding of the hat extension of mp.poset.
 
     If the marking is empty (order-polytope mode) the hats carry the explicit
-    hat_values; otherwise they carry min/max of the marking values.
+    hat_values; otherwise they carry min/max of the marking values.  An
+    embedding checks itself when it is made, so every instance is valid.
     """
 
     mp: MarkedPoset
@@ -104,8 +105,6 @@ class MarkedEmbedding:
             lam[BOTTOM] = min(values)
             lam[TOP] = max(values)
         else:
-            if self.hat_values is None:
-                raise EmbeddingError("empty marking needs explicit hat values")
             lam[BOTTOM], lam[TOP] = self.hat_values
         return lam
 
@@ -129,7 +128,7 @@ class MarkedEmbedding:
                     store[cov] = fi
         return east, west
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = len(self.faces)
         if len(self.flags) != n or any(f not in ("L", "R") for f in self.flags):
             raise EmbeddingError(f"need one flag per face, each 'L' or 'R': got {list(self.flags)}")
@@ -281,7 +280,6 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
     """The flow network of a bounded strongly planar embedding of a marked
     poset, with the vertex order: sources (marking value descending), faces
     in topological order, sinks last."""
-    me.validate()
     lamhat = me.extended_marking
     east, west = me.edge_sides
     faces = me.faces
@@ -583,9 +581,8 @@ def enumerate_skew_points(lam, mu, m: int) -> list[dict[str, int]]:
 def build_skew_flow(lam, mu, m: int) -> DualNetwork:
     """Flow network for a skew polytope, with an empirical correctness gate:
     the integer-flow count is verified against direct enumeration."""
-    me = build_skew_gt(lam, mu, m)
     try:
-        me.validate()
+        me = build_skew_gt(lam, mu, m)
     except EmbeddingError as e:
         raise EmbeddingError(
             f"no valid boundary-side assignment for this skew instance: {e}"

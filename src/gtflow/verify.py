@@ -282,7 +282,8 @@ def verify_subdivision(amax: int, skipped: list) -> list[dict]:
                 reduction_tree_volume(tree),
             )
         )
-        out.append(record("subdivision/interior-disjoint", name, True, interior_sample_disjoint(tree)))
+        t, points, disjoint = interior_sample_disjoint(tree)
+        out.append(record("subdivision/interior-disjoint", f"{name} (t = {t}, {points} points)", True, disjoint))
     for name, me in corpus.embeddings():
         for face_id, face in zip(me.face_ids, me.faces):
             if SENTINEL in (face.left, face.right):

@@ -66,9 +66,10 @@ def test_criterion_4_marked_order_to_flow():
     assert len(embs) >= 10
     skipped = []
     records = verify_transform(skipped)
-    # the duals of these three are disconnected, so Lidskii does not apply
+    # the duals of these four are disconnected, so Lidskii does not apply
     assert [(s["identity"], s["instance"]) for s in skipped] == [
-        ("order-flow/volume=lidskii", name) for name in ("marked-interior", "n-poset-full", "skew-21-10")
+        ("order-flow/volume=lidskii", name)
+        for name in ("marked-interior", "marked-interior-mirror", "n-poset-full", "skew-21-10")
     ]
     _assert_all(records, f"criterion 4 (order-flow equivalence on {len(embs)} embeddings)")
 

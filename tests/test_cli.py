@@ -1,9 +1,12 @@
 import json
 
+import pytest
+
 from gtflow import corpus
-from gtflow.cli import main
+from gtflow.cli import _GT_METHODS, main
 from gtflow.flow import FlowNetwork
 from gtflow.gt import gt_embedding
+from gtflow.poset import MarkedPoset, PosetError
 from gtflow.transform import MarkedEmbedding
 
 
@@ -201,6 +204,43 @@ def test_json_values_of_the_wrong_shape_give_one_line_and_exit_2(tmp_path, capsy
     assert main(["poset2flow", "--embedding", str(fe)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gtflow: embedding JSON has a value of the wrong shape") and err.count("\n") == 1
+    data = gt_embedding((2, 1, 0)).to_json()
+    data["poset"]["marked"] = sorted(data["poset"]["marked"])
+    fe.write_text(json.dumps(data))
+    for cmd in ("poset2flow", "export"):
+        assert main([cmd, "--embedding", str(fe)]) == 2
+        assert capsys.readouterr().err == "gtflow: poset JSON 'marked' must be an object\n"
+
+
+def test_an_invalid_embedding_is_rejected_wherever_it_is_made(tmp_path, capsys):
+    # a marking that is not order-preserving: every route that makes the
+    # embedding rejects it, and both commands that read one exit 2 alike
+    me = dict(corpus.embeddings())["chain3"]
+    data = me.to_json()
+    data["poset"]["marked"] = {"a": "3", "c": "0"}
+    message = "marking not order-preserving: a<c but 3>0"
+    with pytest.raises(PosetError, match=message):
+        MarkedEmbedding.make(MarkedPoset.from_json(data["poset"]), me.faces, me.flags, me.face_ids)
+    with pytest.raises(PosetError, match=message):
+        MarkedEmbedding.from_json(data)
+    fe = tmp_path / "decreasing.embedding.json"
+    fe.write_text(json.dumps(data))
+    for argv in (["export", "--embedding", str(fe)], ["poset2flow", "--embedding", str(fe)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"gtflow: {message}\n")
+
+
+GT_ROUTES = [("dim", None), ("bijection", None)]
+GT_ROUTES += [(what, method) for what, methods in _GT_METHODS.items() for method in (None, *methods)]
+
+
+@pytest.mark.parametrize("what, method", GT_ROUTES)
+def test_an_empty_partition_gives_one_line_and_exit_2(capsys, what, method):
+    argv = ["gt", what, ""] + (["--method", method] if method else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "gtflow: gt needs a partition with at least one part\n")
 
 
 def test_reserved_hat_id_in_an_embedding_gives_one_line_and_exit_2(tmp_path, capsys):

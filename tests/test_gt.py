@@ -47,6 +47,11 @@ def test_build_G_lambda_n1():
     assert gtn.network.edges == ()
 
 
+def test_build_G_lambda_needs_a_part():
+    with pytest.raises(ValueError, match="at least one part"):
+        build_G_lambda(())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_build_G_lambda_counts(n):
     lam = tuple(range(n, 0, -1))

@@ -382,9 +382,8 @@ def test_reserved_hat_ids_raise_in_both_hat_paths():
         make_order_polytope_mp(p)
     mp = MarkedPoset.make(p, {"0hat": 0, "a": 1})
     chain = ["1hat", "a", "0hat"]
-    me = MarkedEmbedding.make(mp, [(SENTINEL, chain), (chain, SENTINEL)])
     with pytest.raises(PosetError, match="reserved"):
-        me.hat_poset
+        MarkedEmbedding.make(mp, [(SENTINEL, chain), (chain, SENTINEL)])
 
 
 def _dfs_below(elements, relations):

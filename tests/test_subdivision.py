@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,12 @@ from gtflow.flow import (
     simplify,
 )
 from gtflow.gt import build_G_lambda, gt_embedding, gt_volume_product
-from gtflow.poset import MarkedPoset, Poset, count_marked_extensions, lattice_points, marked_volume
+from gtflow.poset import MarkedPoset, Poset, PosetError, count_marked_extensions, lattice_points, marked_volume
 from gtflow.subdivision import (
     DegenerateMarkingError,
     NoncrossingTree,
+    ReductionNode,
+    ReductionTree,
     canonical_reduction_tree,
     compound_reduce,
     compound_reductions,
@@ -31,7 +35,7 @@ from gtflow.subdivision import (
     sigma_from_tree,
     subdivide_with_extension,
 )
-from gtflow.transform import SENTINEL, Face, MarkedEmbedding
+from gtflow.transform import SENTINEL, EmbeddingError, Face, MarkedEmbedding, _chain_covers
 
 from test_transform import chain_embedding, diamond_embedding
 
@@ -156,20 +160,29 @@ def test_leaf_counts_by_out_degrees_match_kostant():
 
 
 def test_interior_sample_disjoint():
-    assert interior_sample_disjoint(canonical_reduction_tree(CRY5))
-    assert interior_sample_disjoint(canonical_reduction_tree(build_G_lambda((2, 1, 0)).network))
+    # cry5's two leaves first hold an interior point at dilation 7
+    assert interior_sample_disjoint(canonical_reduction_tree(CRY5)) == (7, 2, True)
+    assert interior_sample_disjoint(canonical_reduction_tree(build_G_lambda((2, 1, 0)).network))[2]
 
 
 def test_interior_sample_disjoint_catches_overlapping_cells():
     g = dict(corpus.networks())["double-rail"]
     tree = canonical_reduction_tree(g)
-    assert interior_sample_disjoint(tree)
+    assert interior_sample_disjoint(tree) == (2, 6, True)
     leaf = tree.nodes[tree.leaves()[0]]
     # a second leaf with the same cell: a separate node, so its points
     # collide with the first leaf's under another leaf index
     tree.nodes.append(dataclasses.replace(leaf))
     tree.children[leaf.parent].append(len(tree.nodes) - 1)
-    assert not interior_sample_disjoint(tree)
+    assert interior_sample_disjoint(tree)[2] is False
+
+
+def test_interior_sample_disjoint_fails_without_an_interior_point():
+    # the edge (1, 2) leaves a vertex with no in-edges and netflow 0, so it
+    # carries 0 in every flow and no dilation has an interior point
+    g = FlowNetwork.make(3, [(0, 2), (1, 2)], (1, 0, -1))
+    tree = ReductionTree([ReductionNode(g, ((0,), (1,)))], {})
+    assert interior_sample_disjoint(tree) == (None, 0, False)
 
 
 def _root_vertex(tree, ni, u):
@@ -286,7 +299,6 @@ def test_extension_bijection_on_fixtures():
         (diamond_embedding({"a": 0, "c": 3}), 3),
     ]
     for me, amax in cases:
-        me.validate()
         k = len(me.mp.sorted_marked())
         dim = len(me.mp.poset.elements) - k
         for a in enumerate_compositions(dim, k - 1):
@@ -294,6 +306,53 @@ def test_extension_bijection_on_fixtures():
                 continue
             records = leaves_to_extensions(me, a)
             assert len(records) == count_marked_extensions(me.mp, a), (a,)
+
+
+# every rejected order of the sweep below: the exception and message that
+# making the child raises
+SWEEP_REJECTIONS = {
+    ("EmbeddingError", "boundary edges do not tile the Hasse diagram: missing=[('0hat', 'a'), ('a', 'b')] extra=[]"): 1,
+    ("EmbeddingError", "boundary edges do not tile the Hasse diagram: missing=[('0hat', 'b'), ('b', 'a')] extra=[]"): 1,
+    ("EmbeddingError", "face D2_1: marked R boundary but max/min unmarked"): 1,
+    ("EmbeddingError", "face D3_1: marked L boundary but max/min unmarked"): 1,
+    ("EmbeddingError", "face F1: (0hat,c) is not a cover"): 2,
+    ("EmbeddingError", "face F2 chains must share max and min"): 1,
+    ("EmbeddingError", "face F2: (b,0hat) is not a cover"): 1,
+    ("EmbeddingError", "face Fs chain repeats an element"): 1,
+    ("EmbeddingError", "face Ft: (0hat,c) is not a cover"): 4,
+    ("EmbeddingError", "face Ft: (a,0hat) is not a cover"): 1,
+    ("EmbeddingError", "face Ft: (a,1hat) is not a cover"): 4,
+    ("EmbeddingError", "face Ft: (b,c) is not a cover"): 1,
+    ("PosetError", "added relations create a cycle"): 442,
+    ("PosetError", "marking not order-preserving: c<d but 2>1"): 4,
+}
+
+
+def test_a_child_changes_only_covers_of_the_replaced_face():
+    # every order of every inner face's elements, on the corpus and on the
+    # n = 5 GT embedding: an accepted child has lost only hat covers of the
+    # replaced face's boundary and gained only covers of the new chain; any
+    # other order is rejected while the child is made
+    embeddings = [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]
+    accepted = 0
+    rejected = Counter()
+    for name, me in embeddings:
+        for face_id, face in zip(me.face_ids, me.faces):
+            if SENTINEL in (face.left, face.right):
+                continue
+            boundary = set(_chain_covers(face.left)) | set(_chain_covers(face.right))
+            for sigma in itertools.permutations(dict.fromkeys(face.left + face.right)):
+                try:
+                    child = subdivide_with_extension(me, face_id, sigma)
+                except (EmbeddingError, PosetError) as exc:
+                    rejected[type(exc).__name__, str(exc)] += 1
+                    continue
+                accepted += 1
+                old, new = set(me.hat_poset.covers), set(child.hat_poset.covers)
+                assert old - new <= boundary, (name, face_id, sigma)
+                assert new - old <= set(_chain_covers(sigma)), (name, face_id, sigma)
+    assert accepted == 39
+    assert rejected == SWEEP_REJECTIONS
 
 
 def test_extension_bijection_infeasible_gap():
@@ -418,12 +477,13 @@ def test_verify_lists_the_subdivision_skips_with_reasons():
     report = run_verify("subdivision", {"amax": 1})
     assert report["pass"]
     skipped = {s["instance"]: s for s in report["skipped"]}
-    assert set(skipped) == {"gt-2-2-0", "skew-21-10"}
+    assert set(skipped) == {"gt-2-2-0", "marked-interior-mirror", "skew-21-10"}
     assert {s["identity"] for s in skipped.values()} == {"subdivision/cell-pairing"}
     assert skipped["gt-2-2-0"]["reason"] == (
         "degenerate markings: equal consecutive boundary marks prune gap sources"
     )
     assert skipped["skew-21-10"]["reason"] == "flags RLRL: the check runs on left-flagged embeddings"
+    assert skipped["marked-interior-mirror"]["reason"] == "flags LRL: the check runs on left-flagged embeddings"
     # a skip is not a pass: neither instance has a cell-pairing record
     pairing = {r["instance"] for r in report["results"] if r["identity"] == "subdivision/cell-pairing"}
     assert pairing and not pairing & set(skipped)

@@ -18,7 +18,6 @@ from gtflow.poset import (
     lattice_points,
     marked_volume,
 )
-from gtflow.subdivision import full_subdivision_check
 from gtflow.transform import (
     SENTINEL,
     EmbeddingError,
@@ -58,7 +57,7 @@ def diamond_embedding(marking):
 
 def test_validate_gt_embedding():
     for lam in [(1, 0), (2, 1, 0), (3, 1, 1, 0)]:
-        gt_embedding(lam).validate()
+        gt_embedding(lam)  # an embedding checks itself when it is made
 
 
 def test_validate_rejects_marked_left_interior():
@@ -73,11 +72,9 @@ def test_validate_rejects_marked_left_interior():
         Face.make(["m2", "x", "m1"], ["m2", "y", "m1"]),
         Face.make([TOP, "c", "m2", "y", "m1", "a", BOTTOM], SENTINEL),
     ]
-    good = MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "y": 1}), faces)
-    good.validate()  # y strictly inside Fs's left boundary
-    bad = MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "x": 1}), faces)
-    with pytest.raises(EmbeddingError):
-        bad.validate()  # x marked on Fmid's left boundary
+    MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "y": 1}), faces)  # y strictly inside Fs's left boundary
+    with pytest.raises(EmbeddingError, match="max/min unmarked"):
+        MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "x": 1}), faces)  # x marked on Fmid's left boundary
 
 
 def test_build_G_P_on_chain():
@@ -240,7 +237,6 @@ def test_skew_equal_shapes_single_point():
 
 def test_build_skew_gt_is_valid():
     me = build_skew_gt((2, 1), (1, 0), 3)
-    me.validate()
     assert len(lattice_points(me.mp)) == len(enumerate_skew_points((2, 1), (1, 0), 3))
 
 
@@ -342,29 +338,22 @@ def test_an_external_corpus_loads_each_file_under_its_stem(tmp_path, monkeypatch
 
 def test_validate_requires_one_flag_and_one_distinct_id_per_face():
     me = dict(corpus.embeddings())["marked-interior"]
-    me.validate()
     bad_flag = me.to_json()
     bad_flag["faces"][1]["flag"] = "Q"
     with pytest.raises(EmbeddingError, match="'L' or 'R'"):
-        MarkedEmbedding.from_json(bad_flag).validate()
-    cases = [
-        MarkedEmbedding.make(me.mp, me.faces, me.flags, ("Ft", "F", "F")),
-        MarkedEmbedding.make(me.mp, me.faces, me.flags, ("Ft", "F")),
-        MarkedEmbedding.make(me.mp, me.faces, ("L", "L"), me.face_ids),
-    ]
-    for bad in cases:
-        with pytest.raises(EmbeddingError):
-            bad.validate()
-        with pytest.raises(EmbeddingError):
-            build_G_PAlambda(bad)
+        MarkedEmbedding.from_json(bad_flag)
     with pytest.raises(EmbeddingError, match="distinct"):
-        full_subdivision_check(cases[0])
+        MarkedEmbedding.make(me.mp, me.faces, me.flags, ("Ft", "F", "F"))
+    with pytest.raises(EmbeddingError, match="distinct"):
+        MarkedEmbedding.make(me.mp, me.faces, me.flags, ("Ft", "F"))
+    with pytest.raises(EmbeddingError, match="'L' or 'R'"):
+        MarkedEmbedding.make(me.mp, me.faces, ("L", "L"), me.face_ids)
 
 
-# the mirror of the marked-interior fixture: F is flagged R and its marked
-# interior element b sits on its right chain, so F becomes a source remnant
-# s^F and two gap sinks; vertex keys, names, netflow, in- and out-orders per
-# flag assignment of (Ft, F, Fs)
+# the marked-interior-mirror fixture, drawn as the mirror of marked-interior:
+# its marked interior element b sits on F's right chain, so F flagged R
+# becomes a source remnant s^F and two gap sinks; vertex keys, names,
+# netflow, in- and out-orders per flag assignment of (Ft, F, Fs)
 MIRROR_DUALS = {
     "LRL": (
         (("rsrc", "F"), ("src", "Fs", 0), ("src", "Fs", 1), ("src", "Fs", 2), ("src", "Fs", 3),
@@ -402,16 +391,9 @@ MIRROR_DUALS = {
 
 @pytest.mark.parametrize("flags", sorted(MIRROR_DUALS))
 def test_right_flagged_inner_face_gives_a_source_remnant(flags):
-    p = Poset.from_covers(
-        ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")]
-    )
-    mp = MarkedPoset.make(p, {"a": 0, "b": 1, "c": 3})
-    faces = [
-        Face.make(SENTINEL, [TOP, "c", "d", "a", BOTTOM]),
-        Face.make(["c", "d", "a"], ["c", "b", "a"]),
-        Face.make([TOP, "c", "b", "a", BOTTOM], SENTINEL),
-    ]
-    me = MarkedEmbedding.make(mp, faces, tuple(flags), ("Ft", "F", "Fs"))
+    mirror = dict(corpus.embeddings())["marked-interior-mirror"]  # flags LRL
+    mp = mirror.mp
+    me = MarkedEmbedding.make(mp, mirror.faces, tuple(flags), mirror.face_ids)
     dn = build_G_PAlambda(me)
     net = dn.network
     assert (dn.vertex_keys, net.names, net.netflow, net.in_orders, net.out_orders) == MIRROR_DUALS[flags]

@@ -18,8 +18,9 @@ def test_promoted_families_run_and_pass_at_default_bounds():
     report = verify.run_verify("all")
     records = [r for r in report["results"] if r["identity"] in PROMOTED]
     counts = Counter(r["identity"] for r in records)
-    # one record per partition, per corpus network, and per inner face
-    assert counts == {PROMOTED[0]: 34, PROMOTED[1]: 22, PROMOTED[2]: 14, PROMOTED[3]: 14}
+    # one record per partition, per corpus network, and per inner face (15:
+    # the 14 of the other embeddings and F of marked-interior-mirror)
+    assert counts == {PROMOTED[0]: 34, PROMOTED[1]: 22, PROMOTED[2]: 15, PROMOTED[3]: 15}
     assert all(r["pass"] for r in records)
     assert report["pass"]
 
@@ -28,7 +29,7 @@ def test_a_dropped_face_extension_fails_both_face_families(monkeypatch):
     real = verify.face_extensions
     monkeypatch.setattr(verify, "face_extensions", lambda face: real(face)[:-1])
     records = [r for r in verify.run_verify("subdivision")["results"] if r["identity"] in FACE_FAMILIES]
-    assert Counter(r["identity"] for r in records) == {FACE_FAMILIES[0]: 14, FACE_FAMILIES[1]: 14}
+    assert Counter(r["identity"] for r in records) == {FACE_FAMILIES[0]: 15, FACE_FAMILIES[1]: 15}
     assert not any(r["pass"] for r in records)
 
 
