@@ -207,22 +207,3 @@ def embeddings() -> tuple[tuple[str, MarkedEmbedding], ...]:
 def posets() -> tuple[tuple[str, Poset], ...]:
     return _load("poset", Poset.from_json, _builtin_posets)
 
-
-def single_sink_embeddings() -> list[tuple[str, MarkedEmbedding]]:
-    """Left-flagged fixtures whose dual has one sink and strictly decreasing
-    markings along the boundary, so the flow-to-extension bijection applies."""
-    from .flow import simplify
-    from .transform import build_G_PAlambda
-
-    out = []
-    for name, me in embeddings():
-        if any(f != "L" for f in me.flags):
-            continue
-        dn = build_G_PAlambda(me)
-        net, vmap, _ = simplify(dn.network)
-        sinks = [v for v in range(net.num_vertices) if net.netflow[v] < 0]
-        srcs = [v for v in vmap if dn.vertex_keys[v][0] == "src"]
-        k = len(me.mp.sorted_marked())
-        if len(sinks) == 1 and len(srcs) == k - 1:
-            out.append((name, me))
-    return out

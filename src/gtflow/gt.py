@@ -392,8 +392,6 @@ def flow_to_shsyt(n: int, flow) -> ShiftedTableau:
     # netflow (out - in) at each vertex, then sanity-check its shape
     net = maps.netflow(flow)
     b = [x + 1 for x in net[: n - 1]]
-    if min(b, default=0) < 0:
-        raise ValueError("netflow at a source is below -1")
     if net != shifted_netflow(n, b):
         raise ValueError("flow netflow is not of the diagonal-shifted shape")
     gaps = maps.gaps(flow)

@@ -39,9 +39,20 @@ from .transform import (
 )
 
 
-class DegenerateMarkingError(EmbeddingError):
+class UncoveredEmbeddingError(EmbeddingError):
+    """The embedding lies outside what a subdivision route covers (the
+    message says why); any other error is a fault."""
+
+
+class DegenerateMarkingError(UncoveredEmbeddingError):
     """Equal consecutive boundary marks prune gap sources, which the
     subdivision pipeline does not handle yet."""
+
+
+def _require_left_flags(me: MarkedEmbedding) -> None:
+    """Both subdivision routes run on left-flagged embeddings only."""
+    if any(f != "L" for f in me.flags):
+        raise UncoveredEmbeddingError(f"flags {''.join(me.flags)}: the check runs on left-flagged embeddings")
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +588,10 @@ def full_subdivision_check(me: MarkedEmbedding, face_order=None) -> SubdivisionR
 
     face_order overrides the canonical highest-vertex-first sequence (the
     order-naturality test and the benchmark's seeded face orders set it).
+    Raises UncoveredEmbeddingError on an embedding that is not left-flagged
+    or has degenerate markings.
     """
-    if any(f != "L" for f in me.flags):
-        raise EmbeddingError("full subdivision check supports left-flagged embeddings")
+    _require_left_flags(me)
     root, dn = _simplified_dual_state(me)
     plan = _reduction_order(root) if face_order is None else list(face_order)
     if sorted(plan) != sorted(_reduction_order(root)):
@@ -643,14 +655,15 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     """Explicit extension bijection for a single-sink embedding: each integer
     flow at the shifted netflow walks to a leaf of the canonical reduction
     tree and on to a linear extension whose marked elements sit at positions
-    1, 2+a_1, ..., k+a_1+...+a_{k-1}."""
-    if any(f != "L" for f in me.flags):
-        raise EmbeddingError("the extension bijection runs on left-flagged embeddings")
+    1, 2+a_1, ..., k+a_1+...+a_{k-1}.  Raises UncoveredEmbeddingError on an
+    embedding that is not left-flagged, has degenerate markings or has more
+    than one sink."""
+    _require_left_flags(me)
     root = _root_dual(me)
     net = root.network
     sinks = [v for v in range(net.num_vertices) if net.netflow[v] < 0]
     if len(sinks) != 1 or sinks[0] != net.num_vertices - 1:
-        raise EmbeddingError("the extension bijection needs a single sink, last in the order")
+        raise UncoveredEmbeddingError("the extension bijection needs a single sink, last in the order")
     sources = [v for v in range(net.num_vertices) if root.keys[v][0] == "src"]
     marked = me.mp.sorted_marked()
     k = len(marked)
@@ -658,7 +671,7 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     if len(a) != k - 1:
         raise ValueError(f"gap vector needs {k - 1} entries")
     if len(sources) != k - 1:
-        raise EmbeddingError("gap sources do not match the marked elements (degenerate markings?)")
+        raise DegenerateMarkingError("gap sources do not match the marked elements (degenerate markings?)")
     shifted = []
     for v in range(net.num_vertices - 1):
         if v in sources:

@@ -326,3 +326,11 @@ def test_subdivide_simplify_with_edge_orders_on_one_side(tmp_path, capsys):
 def test_export_names_its_two_inputs(capsys):
     assert main(["export"]) == 2
     assert capsys.readouterr().err == "gtflow: export needs --network or --embedding\n"
+
+
+def test_bijection_on_a_right_flagged_embedding_gives_one_line_and_exit_2(tmp_path, capsys):
+    fe = tmp_path / "skew.embedding.json"
+    fe.write_text(json.dumps(dict(corpus.embeddings())["skew-21-10"].to_json()))
+    assert main(["bijection", "--embedding", str(fe), "--gaps", "1,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "gtflow: flags RLRL: the check runs on left-flagged embeddings\n")

@@ -23,6 +23,7 @@ from gtflow.subdivision import (
     NoncrossingTree,
     ReductionNode,
     ReductionTree,
+    UncoveredEmbeddingError,
     canonical_reduction_tree,
     compound_reduce,
     compound_reductions,
@@ -398,20 +399,6 @@ def test_full_subdivision_check_flags_tampered_cell_points(monkeypatch, tamper):
     assert report.volumes_match
 
 
-def _accepted_embeddings():
-    """The corpus embeddings full_subdivision_check runs on, and one n = 4
-    GT embedding."""
-    out = [("gt-3-2-1-0", gt_embedding((3, 2, 1, 0)))]
-    for name, me in corpus.embeddings():
-        if all(f == "L" for f in me.flags):
-            try:
-                subdivision._simplified_dual_state(me)
-            except DegenerateMarkingError:
-                continue
-            out.append((name, me))
-    return out
-
-
 def test_carried_cell_points_equal_a_fresh_search(monkeypatch):
     # lattice_points is the independent oracle: it searches each cell again
     cells = []
@@ -424,9 +411,14 @@ def test_carried_cell_points_equal_a_fresh_search(monkeypatch):
 
     monkeypatch.setattr(subdivision, "_cell_points", spy)
     checked = set()
-    for name, me in _accepted_embeddings():
+    # the corpus embeddings full_subdivision_check covers, and one n = 4 GT embedding
+    for name, me in (("gt-3-2-1-0", gt_embedding((3, 2, 1, 0))), *corpus.embeddings()):
         cells.clear()
-        assert full_subdivision_check(me).ok, name
+        try:
+            report = full_subdivision_check(me)
+        except UncoveredEmbeddingError:
+            continue
+        assert report.ok, name
         elements = me.mp.poset.elements
         for mp, pts in cells:
             assert mp.poset.elements == elements
@@ -466,24 +458,51 @@ def test_compound_reductions_match_one_tree_at_a_time():
 
 
 def test_full_subdivision_check_rejects_degenerate_markings():
-    # verify_subdivision skips exactly this error; other failures propagate
+    # verify_subdivision skips exactly UncoveredEmbeddingError; other failures propagate
     with pytest.raises(DegenerateMarkingError):
         full_subdivision_check(gt_embedding((2, 2, 0)))
+
+
+DEGENERATE = "degenerate markings: equal consecutive boundary marks prune gap sources"
+SINGLE_SINK = "the extension bijection needs a single sink, last in the order"
+
+
+def _flags(flags):
+    return f"flags {flags}: the check runs on left-flagged embeddings"
 
 
 def test_verify_lists_the_subdivision_skips_with_reasons():
     from gtflow.verify import run_verify
 
-    report = run_verify("subdivision", {"amax": 1})
+    report = run_verify("subdivision")
     assert report["pass"]
-    skipped = {s["instance"]: s for s in report["skipped"]}
-    assert set(skipped) == {"gt-2-2-0", "marked-interior-mirror", "skew-21-10"}
-    assert {s["identity"] for s in skipped.values()} == {"subdivision/cell-pairing"}
-    assert skipped["gt-2-2-0"]["reason"] == (
-        "degenerate markings: equal consecutive boundary marks prune gap sources"
-    )
-    assert skipped["skew-21-10"]["reason"] == "flags RLRL: the check runs on left-flagged embeddings"
-    assert skipped["marked-interior-mirror"]["reason"] == "flags LRL: the check runs on left-flagged embeddings"
-    # a skip is not a pass: neither instance has a cell-pairing record
-    pairing = {r["instance"] for r in report["results"] if r["identity"] == "subdivision/cell-pairing"}
-    assert pairing and not pairing & set(skipped)
+    skipped = {(s["identity"], s["instance"]): s["reason"] for s in report["skipped"]}
+    pairing, bijection = "subdivision/cell-pairing", "extension-bijection/count"
+    assert skipped == {
+        (pairing, "gt-2-2-0"): DEGENERATE,
+        (pairing, "marked-interior-mirror"): _flags("LRL"),
+        (pairing, "skew-21-10"): _flags("RLRL"),
+        (bijection, "gt-2-2-0"): DEGENERATE,
+        (bijection, "marked-interior"): SINGLE_SINK,
+        (bijection, "marked-interior-mirror"): _flags("LRL"),
+        (bijection, "n-poset-full"): SINGLE_SINK,
+        (bijection, "skew-21-10"): _flags("RLRL"),
+    }
+
+
+@pytest.mark.parametrize("amax", [0, 3])
+def test_each_embedding_is_one_record_or_one_skip_of_each_route(amax):
+    from gtflow.verify import run_verify
+
+    report = run_verify("subdivision", {"amax": amax})
+    names = sorted(name for name, _ in corpus.embeddings())
+    for identity in ("subdivision/cell-pairing", "extension-bijection/count"):
+        # a bijection record's instance is "<name> (<m> gap vectors)"
+        recorded = [r["instance"].split(" ")[0] for r in report["results"] if r["identity"] == identity]
+        skipped = [s["instance"] for s in report["skipped"] if s["identity"] == identity]
+        assert sorted(recorded + skipped) == names, identity
+    # at amax = 0 no gap vector is left: a skip that names amax, not a vacuous record
+    if amax == 0:
+        reasons = {s["reason"] for s in report["skipped"] if s["identity"] == "extension-bijection/count"}
+        assert "no gap vector has all parts at most amax = 0" in reasons
+        assert not any("(0 gap vectors)" in r["instance"] for r in report["results"])

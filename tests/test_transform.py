@@ -30,6 +30,7 @@ from gtflow.transform import (
     gamma,
     gamma_inverse,
 )
+from gtflow.verify import run_verify
 
 
 def chain_embedding(names, marking):
@@ -292,9 +293,10 @@ def test_gamma_rejects_infeasible_integer_points():
             gamma(dn, bad)
 
 
-def test_single_sink_embeddings_raises_on_an_embedding_without_a_dual(tmp_path, monkeypatch):
+def test_verify_subdivision_raises_on_an_embedding_without_a_dual(tmp_path, monkeypatch):
     # a chain marked 0 and 1/2 has no integer dual network; an external
-    # corpus holding it is an error, not a silently shorter fixture list
+    # corpus holding it is an error, not a skip: the subdivision routes
+    # skip only the embeddings they do not cover
     p = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     mp = MarkedPoset.make(p, {"a": 0, "c": Fraction(1, 2)})
     chain = [TOP, "c", "b", "a", BOTTOM]
@@ -304,7 +306,7 @@ def test_single_sink_embeddings_raises_on_an_embedding_without_a_dual(tmp_path, 
     corpus.embeddings.cache_clear()
     try:
         with pytest.raises(EmbeddingError, match="integer markings"):
-            corpus.single_sink_embeddings()
+            run_verify("subdivision")
     finally:
         corpus.embeddings.cache_clear()
 
