@@ -33,12 +33,21 @@ class PosetError(ValueError):
     pass
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _kahn(ups: dict[str, list[str]], indeg: dict[str, int]) -> list[str]:
+    """Kahn's algorithm, smallest available element first, over the upper
+    covers `ups` and the lower-cover counts `indeg` (used up); the order
+    misses the elements on or above a cycle."""
+    avail = [e for e, d in indeg.items() if not d]
+    heapq.heapify(avail)
+    order = []
+    while avail:
+        e = heapq.heappop(avail)
+        order.append(e)
+        for q in ups[e]:
+            indeg[q] -= 1
+            if not indeg[q]:
+                heapq.heappush(avail, q)
+    return order
 
 
 @dataclass(frozen=True)
@@ -71,16 +80,7 @@ class Poset:
                 raise PosetError(f"loop at {p}")
             ups[p].append(q)
             downs[q].append(p)
-        indeg = {e: len(d) for e, d in downs.items()}
-        avail = [e for e, d in indeg.items() if d == 0]  # sorted: a heap
-        order = []
-        while avail:
-            e = heapq.heappop(avail)
-            order.append(e)
-            for q in ups[e]:
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    heapq.heappush(avail, q)
+        order = _kahn(ups, {e: len(d) for e, d in downs.items()})
         if len(order) != len(self.elements):
             raise PosetError("cover relation has a cycle")
         below: dict[str, int] = {}
@@ -144,9 +144,13 @@ class Poset:
         return count((1 << len(items)) - 1)
 
     def with_relations(self, pairs) -> "Poset":
-        """New poset with extra relations (p below q), transitively reduced."""
+        """New poset with extra relations (p below q), transitively reduced.
+        Its index is the closure computed here, with the covers and the
+        topological order (Kahn's, smallest available element first) read
+        off it: no second build."""
         bit = self._bit
         below = dict(self._below)
+        added = []
         for p, q in pairs:
             p, q = str(p), str(q)
             if p not in bit or q not in bit:
@@ -155,6 +159,7 @@ class Poset:
                 raise PosetError(f"reflexive relation at {p}")
             if below[p] & bit[q]:
                 raise PosetError("added relations create a cycle")
+            added.append((p, q))
             # the closure stays transitive: everything at or below p goes
             # below q and below everything above q
             gain = below[p] | bit[p]
@@ -162,15 +167,28 @@ class Poset:
             for z, m in below.items():
                 if z == q or m & bq:
                     below[z] = m | gain
-        # the covers of q: the elements below q and below nothing below q
-        names = list(bit)
-        covers = []
-        for q, m in below.items():
+        # a cover of the new order is an old cover or an added pair: the
+        # candidates below q, less those below another candidate
+        cands = {e: [] for e in bit}
+        for p, q in (*self.covers, *added):
+            cands[q].append(p)
+        ups = {e: [] for e in bit}
+        indeg = {}
+        for q, cs in cands.items():
             under = 0
-            for i in _bits(m):
-                under |= below[names[i]]
-            covers += [(names[i], q) for i in _bits(m & ~under)]
-        return Poset.from_covers(self.elements, covers)
+            for d in cs:
+                under |= below[d]
+            lower = {d for d in cs if not bit[d] & under}
+            indeg[q] = len(lower)
+            for d in lower:
+                ups[d].append(q)
+        order = _kahn(ups, indeg)
+        out = object.__new__(Poset)
+        covers = tuple((p, q) for p, up in ups.items() for q in up)  # sorted, as q ran in name order
+        index = (tuple(bit), covers, tuple(order), bit, {e: below[e] for e in order})
+        for name, value in zip(("elements", "covers", "topo_order", "_bit", "_below"), index):
+            object.__setattr__(out, name, value)
+        return out
 
     def order_polynomial(self, m: int) -> int:
         """Number of order-preserving maps P -> {0, ..., m}."""
@@ -285,17 +303,21 @@ class MarkedPoset:
         return MarkedPoset.make(poset, marked)
 
 
+def hat_covers(p: Poset) -> list[tuple[str, str]]:
+    """The covers of hat_poset(p), without building it: p's covers, 0hat
+    below each minimal and 1hat above each maximal element (0hat < 1hat if
+    p is empty)."""
+    if BOTTOM in p._bit or TOP in p._bit:
+        raise PosetError(f"element ids {BOTTOM}/{TOP} are reserved")
+    if not p.elements:
+        return [(BOTTOM, TOP)]
+    return [*p.covers, *((BOTTOM, e) for e in p.minimal_elements()), *((e, TOP) for e in p.maximal_elements())]
+
+
 def hat_poset(p: Poset) -> Poset:
     """p extended by 0hat below its minimal and 1hat above its maximal
     elements (0hat < 1hat if p is empty)."""
-    if BOTTOM in p.elements or TOP in p.elements:
-        raise PosetError(f"element ids {BOTTOM}/{TOP} are reserved")
-    covers = list(p.covers)
-    covers += [(BOTTOM, e) for e in p.minimal_elements()]
-    covers += [(e, TOP) for e in p.maximal_elements()]
-    if not p.elements:
-        covers = [(BOTTOM, TOP)]
-    return Poset.from_covers(p.elements + (BOTTOM, TOP), covers)
+    return Poset.from_covers(p.elements + (BOTTOM, TOP), hat_covers(p))
 
 
 def make_order_polytope_mp(p: Poset, bot=Fraction(0), top=Fraction(1)) -> MarkedPoset:

@@ -28,12 +28,10 @@ from .combinat import enumerate_compositions, finite_difference
 from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
 from .poset import BOTTOM, TOP, MarkedPoset, PosetError, lattice_points, marked_volume
 from .transform import (
-    SENTINEL,
     DualNetwork,
     EmbeddingError,
     Face,
     MarkedEmbedding,
-    _chain_covers,
     build_G_PAlambda,
     gamma,
 )
@@ -390,38 +388,10 @@ def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> Marked
     fi = me.face_ids.index(face_id)
     face = me.faces[fi]
     sigma = tuple(sigma)
-    if set(sigma) != set(face.left) | set(face.right):
+    elements = set(face.left) | set(face.right)
+    if len(sigma) != len(elements) or set(sigma) != elements:
         raise EmbeddingError("extension must order exactly the face elements")
-    hats = {BOTTOM, TOP}
-    chain_pairs = [(sigma[t + 1], sigma[t]) for t in range(len(sigma) - 1)]
-    poset_pairs = [(a, b) for a, b in chain_pairs if a not in hats and b not in hats]
-    new_poset = me.mp.poset.with_relations(poset_pairs)
-    boundary = set(_chain_covers(face.left)) | set(_chain_covers(face.right))
-    new_mp = MarkedPoset(new_poset, me.mp.marking_items)
-    pos = {e: t for t, e in enumerate(sigma)}
-
-    def reroute(chain):
-        if chain == SENTINEL:
-            return chain
-        out = [chain[0]]
-        for t in range(len(chain) - 1):
-            u, w = chain[t], chain[t + 1]
-            if (w, u) in boundary:
-                out.extend(sigma[pos[u] + 1 : pos[w] + 1])
-            else:
-                out.append(w)
-        return tuple(out)
-
-    faces = []
-    flags = []
-    ids = []
-    for gi, g in enumerate(me.faces):
-        if gi == fi:
-            continue
-        faces.append(Face(reroute(g.left), reroute(g.right)))
-        flags.append(me.flags[gi])
-        ids.append(me.face_ids[gi])
-    return MarkedEmbedding.make(new_mp, faces, flags, tuple(ids), hat_values=me.hat_values)
+    return me._replace_face(fi, sigma)
 
 
 # ---------------------------------------------------------------------------

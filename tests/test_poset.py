@@ -362,6 +362,16 @@ def test_poset_index_matches_the_scan_based_poset(data):
     elements = tuple(data.draw(st.permutations(ranked)))
     expected = _poset_fields(_ScanPoset, elements, tuple(covers), extra)
     assert _poset_fields(Poset, elements, tuple(covers), extra) == expected
+    # with_relations returns the index it computed: it must be the one a
+    # fresh build of its covers gives
+    try:
+        w = Poset(elements, tuple(covers)).with_relations(extra)
+    except PosetError:
+        return
+    fresh = Poset.from_covers(w.elements, w.covers)
+    assert (w.elements, w.covers, w.topo_order, w._below) == (
+        fresh.elements, fresh.covers, fresh.topo_order, fresh._below
+    )
 
 
 def test_one_hat_builder_for_order_polytopes_and_embeddings():

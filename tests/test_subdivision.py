@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtflow import corpus, subdivision
+from gtflow import corpus, subdivision, transform
 from gtflow.combinat import enumerate_compositions
 from gtflow.flow import (
     FlowError,
@@ -354,6 +354,112 @@ def test_a_child_changes_only_covers_of_the_replaced_face():
                 assert new - old <= set(_chain_covers(sigma)), (name, face_id, sigma)
     assert accepted == 39
     assert rejected == SWEEP_REJECTIONS
+
+
+def test_an_extension_must_list_each_face_element_once():
+    me = dict(corpus.embeddings())["n-poset-full"]  # F1: left c, a, 0hat; right c, b, 0hat
+    for sigma in [("c", "a", "b", "a", "0hat"), ("c", "0hat", "a", "b", "0hat"), ("c", "a", "a", "b", "0hat")]:
+        with pytest.raises(EmbeddingError, match="^extension must order exactly the face elements$"):
+            subdivide_with_extension(me, "F1", sigma)
+
+
+def _count_full_checks(monkeypatch) -> Counter:
+    """Count the full embedding checks: a cell step runs one exactly when a
+    local test fails."""
+    runs = Counter()
+    real = MarkedEmbedding.__post_init__
+
+    def counted(self):
+        runs["full"] += 1
+        return real(self)
+
+    monkeypatch.setattr(MarkedEmbedding, "__post_init__", counted)
+    return runs
+
+
+def _disagreement(child, full_check_ran):
+    """Why the local check's verdict on a cell step's child differs from the
+    full check of a twin made from scratch of the same fields, or None."""
+    p = child.mp.poset
+    mp = MarkedPoset.make(Poset.from_covers(p.elements, p.covers), child.mp.marking)
+    try:
+        twin = MarkedEmbedding.make(mp, child.faces, child.flags, child.face_ids, child.hat_values)
+    except (EmbeddingError, PosetError) as exc:
+        return f"the local check accepts a child the full check rejects: {exc}"
+    if full_check_ran:
+        return "the local check rejects a child the full check accepts"
+
+    def index(me):
+        return me, me.mp.poset.topo_order, me.mp.poset._below, me.hat_poset.covers, me.hat_poset.topo_order
+
+    return None if index(child) == index(twin) else "the child differs from its fully checked twin"
+
+
+def _sweep_disagreements(runs) -> tuple[int, list]:
+    """Every order of every inner face, on the corpus and on the n = 5 GT
+    embedding: the number accepted, and each order on which the local check
+    and the full check disagree.  A rejected order needs no twin: the step
+    raised from the full check, or before any local test."""
+    accepted, bad = 0, []
+    for name, me in [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]:
+        for face_id, face in zip(me.face_ids, me.faces):
+            if SENTINEL in (face.left, face.right):
+                continue
+            for sigma in itertools.permutations(dict.fromkeys(face.left + face.right)):
+                runs.clear()
+                try:
+                    child = subdivide_with_extension(me, face_id, sigma)
+                except (EmbeddingError, PosetError):
+                    continue
+                accepted += 1
+                why = _disagreement(child, runs["full"] > 0)
+                if why:
+                    bad.append((name, face_id, sigma, why))
+    return accepted, bad
+
+
+def test_the_local_check_agrees_with_the_full_check(monkeypatch):
+    runs = _count_full_checks(monkeypatch)
+    assert _sweep_disagreements(runs) == (39, [])
+    # every cell full_subdivision_check makes on the covered corpus and at n = 5
+    children = []
+    real = subdivision.subdivide_with_extension
+    monkeypatch.setattr(subdivision, "subdivide_with_extension", lambda *a: children.append(real(*a)) or children[-1])
+    cells = 0
+    for name, me in [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]:
+        children.clear()
+        runs.clear()
+        try:
+            assert full_subdivision_check(me).ok, name
+        except UncoveredEmbeddingError:
+            continue
+        assert runs["full"] == 0, name
+        assert [why for why in (_disagreement(c, False) for c in children) if why] == [], name
+        cells += len(children)
+    assert cells > 448  # the n = 5 check makes 448
+
+
+def test_the_agreement_property_catches_a_local_check_without_the_marking_test(monkeypatch):
+    runs = _count_full_checks(monkeypatch)
+    monkeypatch.setattr(transform, "_marks_stay_ordered", lambda old, new, lam: True)
+    _, bad = _sweep_disagreements(runs)
+    assert bad and all("accepts a child the full check rejects: marking not order-preserving" in why for *_, why in bad)
+
+
+def test_a_cell_step_builds_no_poset_index_and_no_full_embedding_check(monkeypatch):
+    me = gt_embedding((4, 3, 2, 1, 0))
+    runs = Counter()
+    for cls in (MarkedEmbedding, Poset):
+        real = cls.__post_init__
+
+        def counted(self, _real=real, _name=cls.__name__):
+            runs[_name] += 1
+            return _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    report = full_subdivision_check(me)
+    assert (report.cells, report.total_volume, report.root_volume, report.ok) == (286, 1, 1, True)
+    assert runs == Counter()  # the full checks make 448 and 896
 
 
 def test_extension_bijection_infeasible_gap():
