@@ -105,11 +105,17 @@ class _Layout(NamedTuple):
     ordered: Callable  # entries -> whether every row pair and column pair increases
 
 
+def _compile_lambda(source: str) -> Callable:
+    """The lambda whose source is given, compiled once (the way namedtuple
+    builds its methods) so that it runs as one call; it sees no builtins."""
+    return eval(source, {"__builtins__": {}})
+
+
 def _compile_order_check(n: int, starts: tuple[int, ...]) -> Callable:
     """entries -> whether e(i, j) < e(i, j+1) and e(i, j) < e(i+1, j) for
     every such pair of cells: one chained comparison per row and one
-    comparison per column pair, over fixed indices, compiled once (the way
-    namedtuple builds its methods) so that a check is one call."""
+    comparison per column pair, over fixed indices, so that a check is one
+    call."""
     rows = [
         " < ".join(f"e[{k}]" for k in range(starts[i], starts[i + 1]))
         for i in range(n)
@@ -120,7 +126,7 @@ def _compile_order_check(n: int, starts: tuple[int, ...]) -> Callable:
         for i in range(n - 1)
         for k in range(n - i - 1)
     ]
-    return eval(f"lambda e: {' and '.join(rows + columns) or 'True'}", {"__builtins__": {}})
+    return _compile_lambda(f"lambda e: {' and '.join(rows + columns) or 'True'}")
 
 
 @lru_cache(maxsize=None)

@@ -342,8 +342,11 @@ def _weighted_kostant(g: FlowNetwork, weight) -> int:
     is read off the state.  Vertices are not visited in index order, so a
     weight reading rem_v must multiply out to an order-free product, as
     comb(rem_v, j_v) does (total! / prod_v j_v!).  The sink takes netflow 0,
-    so its in-edges carry nothing and it is left out of the pass.
+    so its in-edges carry nothing and it is left out of the pass; on one
+    vertex the pass is empty and the sum is 1.  Raises FlowError where
+    check_lidskii_preconditions does.
     """
+    check_lidskii_preconditions(g)
     total = g.dimension()
     sink = g.num_vertices - 1
     targets = tuple(tuple((w, m) for w, m in tv if w != sink) for tv in _targets(g)[:sink])
@@ -362,9 +365,6 @@ def lidskii_volume(g: FlowNetwork) -> Fraction:
 
     The kernel weight comb(rem_v, j_v) * a_v^{j_v} multiplies out to total!
     times that term, so the integer sum is divided by total! once."""
-    check_lidskii_preconditions(g)
-    if g.num_vertices == 1:
-        return Fraction(1)
     a = g.netflow
     total = _weighted_kostant(g, lambda v, jv, rem: math.comb(rem, jv) * a[v] ** jv)
     return Fraction(total, math.factorial(g.dimension()))
@@ -373,9 +373,6 @@ def lidskii_volume(g: FlowNetwork) -> Fraction:
 def lidskii_points_binomial(g: FlowNetwork) -> int:
     """Lattice points of the flow polytope: the Lidskii sum with weight
     prod_v binom(a_v + out_v, j_v)."""
-    check_lidskii_preconditions(g)
-    if g.num_vertices == 1:
-        return 1
     top = [g.netflow[v] + g.out_shift(v) for v in range(g.num_vertices)]
     return _weighted_kostant(g, lambda v, jv, rem: binomial(top[v], jv))
 
@@ -384,9 +381,6 @@ def lidskii_points_multiset(g: FlowNetwork) -> int:
     """Lattice points via the multiset-binomial weight
     prod_v <a_v - in_v over j_v>, in_v = indegree - 1; a_v - in_v may be
     negative, so the weight can be nonzero at every j_v."""
-    check_lidskii_preconditions(g)
-    if g.num_vertices == 1:
-        return 1
     top = [g.netflow[v] - g.in_shift(v) for v in range(g.num_vertices)]
     return _weighted_kostant(g, lambda v, jv, rem: multiset_binomial(top[v], jv))
 

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .combinat import ShiftedTableau, as_partition, diagonal_counts, shifted_cells
+from .combinat import ShiftedTableau, _compile_lambda, as_partition, diagonal_counts, shifted_cells
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
 from .poset import MarkedPoset, Poset
 from .transform import BOTTOM, SENTINEL, TOP, Face, MarkedEmbedding
@@ -280,9 +280,8 @@ def flow_to_gt(lam, flow) -> GTPattern:
 
 
 def _compile_tuple(arg: str, items: list[str]) -> Callable:
-    """arg -> the tuple of the expressions in items, compiled once (the way
-    namedtuple builds its methods) so that it runs as one call."""
-    return eval(f"lambda {arg}: ({''.join(x + ', ' for x in items)})", {"__builtins__": {}})
+    """arg -> the tuple of the expressions in items, as one compiled call."""
+    return _compile_lambda(f"lambda {arg}: ({''.join(x + ', ' for x in items)})")
 
 
 class _TableauFlowMaps(NamedTuple):

@@ -33,10 +33,10 @@ class PosetError(ValueError):
     pass
 
 
-def _kahn(ups: dict[str, list[str]], indeg: dict[str, int]) -> list[str]:
+def _kahn(ups: dict, indeg: dict) -> list:
     """Kahn's algorithm, smallest available element first, over the upper
-    covers `ups` and the lower-cover counts `indeg` (used up); the order
-    misses the elements on or above a cycle."""
+    neighbours `ups` and the lower-neighbour counts `indeg` (used up); the
+    order misses the elements on or above a cycle."""
     avail = [e for e, d in indeg.items() if not d]
     heapq.heapify(avail)
     order = []
@@ -48,6 +48,31 @@ def _kahn(ups: dict[str, list[str]], indeg: dict[str, int]) -> list[str]:
             if not indeg[q]:
                 heapq.heappush(avail, q)
     return order
+
+
+def _index(bit: dict[str, int], lowers: dict[str, list[str]]) -> tuple[list[str], dict[str, int], dict[str, int]]:
+    """The index of the order that the lower-cover candidates `lowers` (per
+    element; they may repeat or be redundant) generate: Kahn's order over
+    them and, per element, the int of the elements strictly below it and
+    the int of those strictly below one of its candidates.  A candidate in
+    the latter is redundant; it never delays its element (the candidate
+    above it comes later), so the order is Kahn's over the reduced covers.
+    The order and the ints miss the elements on or above a cycle."""
+    ups: dict[str, list[str]] = {e: [] for e in bit}
+    for q, ds in lowers.items():
+        for d in ds:
+            ups[d].append(q)
+    order = _kahn(ups, {e: len(ds) for e, ds in lowers.items()})
+    below: dict[str, int] = {}
+    under: dict[str, int] = {}
+    for e in order:
+        u = c = 0
+        for d in lowers[e]:
+            u |= below[d]
+            c |= bit[d]
+        below[e] = u | c
+        under[e] = u
+    return order, below, under
 
 
 @dataclass(frozen=True)
@@ -66,32 +91,20 @@ class Poset:
         return Poset(els, cvs)
 
     def __post_init__(self):
-        # one pass builds the index every query reads: a bit per element
-        # (in name order), the topological order (Kahn's algorithm, smallest
-        # available element first) and, per element, the int of the
-        # elements strictly below it, ORed along that order
+        # the index every query reads: a bit per element (in name order), the
+        # topological order and, per element, the int of the elements
+        # strictly below it
         bit = {e: 1 << i for i, e in enumerate(sorted(self.elements))}
-        ups: dict[str, list[str]] = {e: [] for e in bit}
         downs: dict[str, list[str]] = {e: [] for e in bit}
         for p, q in self.covers:
             if p not in bit or q not in bit:
                 raise PosetError(f"cover ({p},{q}) references unknown element")
             if p == q:
                 raise PosetError(f"loop at {p}")
-            ups[p].append(q)
             downs[q].append(p)
-        order = _kahn(ups, {e: len(d) for e, d in downs.items()})
+        order, below, under = _index(bit, downs)
         if len(order) != len(self.elements):
             raise PosetError("cover relation has a cycle")
-        below: dict[str, int] = {}
-        under: dict[str, int] = {}  # strictly below some down cover
-        for e in order:
-            u = c = 0
-            for d in downs[e]:
-                u |= below[d]
-                c |= bit[d]
-            below[e] = u | c
-            under[e] = u
         for p, q in self.covers:
             if bit[p] & under[q]:
                 raise PosetError(f"redundant cover ({p},{q})")
@@ -145,47 +158,32 @@ class Poset:
 
     def with_relations(self, pairs) -> "Poset":
         """New poset with extra relations (p below q), transitively reduced.
-        Its index is the closure computed here, with the covers and the
-        topological order (Kahn's, smallest available element first) read
-        off it: no second build."""
+        Its index is built by `_index`, as in `__post_init__`, over the old
+        covers and the added pairs, and its covers are the candidates that
+        are not redundant: no second build."""
         bit = self._bit
-        below = dict(self._below)
-        added = []
+        lowers: dict[str, list[str]] = {e: [] for e in bit}
+        for p, q in self.covers:
+            lowers[q].append(p)
+        bad = None
         for p, q in pairs:
             p, q = str(p), str(q)
             if p not in bit or q not in bit:
-                raise PosetError(f"relation ({p},{q}) references unknown element")
-            if p == q:
-                raise PosetError(f"reflexive relation at {p}")
-            if below[p] & bit[q]:
-                raise PosetError("added relations create a cycle")
-            added.append((p, q))
-            # the closure stays transitive: everything at or below p goes
-            # below q and below everything above q
-            gain = below[p] | bit[p]
-            bq = bit[q]
-            for z, m in below.items():
-                if z == q or m & bq:
-                    below[z] = m | gain
-        # a cover of the new order is an old cover or an added pair: the
-        # candidates below q, less those below another candidate
-        cands = {e: [] for e in bit}
-        for p, q in (*self.covers, *added):
-            cands[q].append(p)
-        ups = {e: [] for e in bit}
-        indeg = {}
-        for q, cs in cands.items():
-            under = 0
-            for d in cs:
-                under |= below[d]
-            lower = {d for d in cs if not bit[d] & under}
-            indeg[q] = len(lower)
-            for d in lower:
-                ups[d].append(q)
-        order = _kahn(ups, indeg)
+                bad = f"relation ({p},{q}) references unknown element"
+            elif p == q:
+                bad = f"reflexive relation at {p}"
+            if bad:
+                break
+            lowers[q].append(p)
+        order, below, under = _index(bit, lowers)
+        # a cycle closed by the pairs before a bad one is reported first
+        if len(order) != len(bit):
+            raise PosetError("added relations create a cycle")
+        if bad:
+            raise PosetError(bad)
         out = object.__new__(Poset)
-        covers = tuple((p, q) for p, up in ups.items() for q in up)  # sorted, as q ran in name order
-        index = (tuple(bit), covers, tuple(order), bit, {e: below[e] for e in order})
+        covers = tuple(sorted({(d, q) for q, ds in lowers.items() for d in ds if not bit[d] & under[q]}))
+        index = (tuple(bit), covers, tuple(order), bit, below)
         for name, value in zip(("elements", "covers", "topo_order", "_bit", "_below"), index):
             object.__setattr__(out, name, value)
         return out

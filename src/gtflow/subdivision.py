@@ -642,15 +642,12 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
         raise ValueError(f"gap vector needs {k - 1} entries")
     if len(sources) != k - 1:
         raise DegenerateMarkingError("gap sources do not match the marked elements (degenerate markings?)")
-    shifted = []
-    for v in range(net.num_vertices - 1):
-        if v in sources:
-            shifted.append(a[sources.index(v)] - net.out_shift(v))
-        else:
-            shifted.append(-net.out_shift(v))
+    gap_at = dict(zip(sources, a))
+    shifted = [gap_at.get(v, 0) - net.out_shift(v) for v in range(net.num_vertices - 1)]
     shifted.append(0)
     if sum(shifted) != 0:
         return []
+    want = [1 + t + sum(a[:t]) for t in range(k)]
 
     plan = _reduction_order(root)
     records = []
@@ -674,12 +671,6 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
             raise EmbeddingError("leaf out-degrees disagree with the gap vector")
         ext = _chain_extension(state.me.mp)
         positions = [ext.index(m) + 1 for m in marked]
-        want = []
-        cur = 1
-        for idx in range(k):
-            want.append(cur)
-            if idx < k - 1:
-                cur += 1 + a[idx]
         if positions != want:
             raise EmbeddingError("marked positions disagree with the gap vector")
         records.append({"flow": f, "extension": ext, "positions": tuple(positions)})

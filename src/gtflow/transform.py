@@ -20,14 +20,13 @@ Remnants without any edges (the outer faces) are dropped.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import neg, pos
 
 from .flow import FlowError, FlowNetwork
-from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, hat_covers, hat_poset, point_feasible
+from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, _kahn, hat_covers, hat_poset, point_feasible
 
 SENTINEL = (TOP, BOTTOM)
 
@@ -183,9 +182,6 @@ class MarkedEmbedding:
                         f"face {self.face_ids[fi]}: marked {self.flags[fi]} boundary "
                         f"but max/min unmarked"
                     )
-                vals = [lamhat[p] for p in chain if p in lamhat]
-                if any(vals[t] < vals[t + 1] for t in range(len(vals) - 1)):
-                    raise EmbeddingError("marking not descending along a boundary chain")
 
     def _replace_face(self, fi: int, sigma: tuple[str, ...]) -> "MarkedEmbedding":
         """The cell step's child: face fi replaced by the chain sigma (its
@@ -412,23 +408,14 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
 
     sources.sort(key=lambda k: (-upper_value(k), k[1], k[2] if len(k) > 2 else -1))
     # topological order of untouched faces along dual edges, smallest face index first
-    adj = {k: set() for k in plains}
+    adj = {k: [] for k in plains}
     indeg = {k: 0 for k in plains}
     for cov in all_covers:
         t, h = edge_tail[cov], edge_head[cov]
-        if t in indeg and h in indeg and h not in adj[t]:
-            adj[t].add(h)
+        if t in indeg and h in indeg:
+            adj[t].append(h)
             indeg[h] += 1
-    topo = []
-    avail = [k for k in plains if indeg[k] == 0]
-    heapq.heapify(avail)
-    while avail:
-        k = heapq.heappop(avail)
-        topo.append(k)
-        for h in adj[k]:
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                heapq.heappush(avail, h)
+    topo = _kahn(adj, indeg)
     if len(topo) != len(plains):
         raise EmbeddingError("dual network has a cycle among faces")
     sinks.sort(key=lambda k: (k[1], k[2] if len(k) > 2 else -1))
@@ -441,9 +428,6 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
     for cov in all_covers:
         edges.append((index[edge_tail[cov]], index[edge_head[cov]]))
         crossings.append(cov)
-    for (u, v) in edges:
-        if not u < v:
-            raise EmbeddingError("vertex order is not topological for the dual edges")
 
     # integer netflows
     nets = []

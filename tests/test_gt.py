@@ -45,6 +45,9 @@ def test_build_G_lambda_n1():
     gtn = build_G_lambda((5,))
     assert gtn.network.num_vertices == 1
     assert gtn.network.edges == ()
+    # the Lidskii sums over its empty pass: one point, volume 1
+    g = gtn.network
+    assert (flow.lidskii_volume(g), flow.lidskii_points_binomial(g), flow.lidskii_points_multiset(g)) == (1, 1, 1)
 
 
 def test_build_G_lambda_needs_a_part():

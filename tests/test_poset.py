@@ -53,6 +53,14 @@ def test_with_relations_closes_and_rejects_bad_pairs():
         Poset.from_covers(["a", "b"], []).with_relations([("a", "b"), ("a", "a")])
     with pytest.raises(PosetError):
         CHAIN3.with_relations([("a", "z")])
+    # pairs are taken in turn: a cycle closed by earlier pairs is reported
+    # before a later pair's own error, and that error before a later cycle
+    with pytest.raises(PosetError, match="added relations create a cycle"):
+        CHAIN3.with_relations([("c", "a"), ("a", "z")])
+    with pytest.raises(PosetError, match="references unknown element"):
+        CHAIN3.with_relations([("a", "z"), ("c", "a")])
+    with pytest.raises(PosetError, match="added relations create a cycle"):
+        CHAIN3.with_relations([("c", "a"), ("m", "m")])
 
 
 def test_validate_marked_poset_examples():

@@ -78,6 +78,11 @@ def test_validate_rejects_marked_left_interior():
         MarkedEmbedding.make(MarkedPoset.make(p, {"a": 0, "c": 2, "x": 1}), faces)  # x marked on Fmid's left boundary
 
 
+def test_validate_rejects_a_marking_ascending_along_a_chain():
+    with pytest.raises(PosetError, match="not order-preserving"):
+        chain_embedding(["a", "b", "c"], {"a": 2, "b": 1, "c": 0})
+
+
 def test_build_G_P_on_chain():
     p = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     chain = [TOP, "c", "b", "a", BOTTOM]
