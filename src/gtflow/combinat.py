@@ -2,19 +2,16 @@
 
 Weak compositions, signed binomial coefficients, shifted standard Young
 tableaux of staircase shape, and semistandard tableau counts.
-All arithmetic is exact: Python ints and fractions.Fraction only, no floats.
+All arithmetic is exact: Python ints only, no floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
-
-Rational = Fraction
 
 
 def as_partition(parts) -> tuple[int, ...]:

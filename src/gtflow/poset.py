@@ -16,11 +16,11 @@ import heapq
 import math
 import operator
 import random
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from types import MappingProxyType
 
 from .combinat import enumerate_compositions
@@ -328,44 +328,49 @@ def make_order_polytope_mp(p: Poset, bot=Fraction(0), top=Fraction(1)) -> Marked
 # lattice points
 
 
-def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
-    """All integer points of O(P,A)_lambda, by interval propagation."""
-    mp.validate()
-    lam = mp.marking
-    for a, v in lam.items():
-        if v.denominator != 1:
-            raise PosetError(f"lattice_points needs integer markings, got {a}={v}")
-    p = mp.poset
+def _order_search(p: Poset, marks: dict, candidates) -> list[dict]:
+    """Every point of the marked order polytope of p with the marks `marks`
+    whose unmarked coordinates come from `candidates(lo, hi)`, by interval
+    propagation along `topo_order`: lo is the largest value on a down cover,
+    hi the smallest mark above.  Every extremal element must be marked
+    (`MarkedPoset.validate`), so an unmarked element has a down cover."""
     order = p.topo_order
-    marks = {a: int(v) for a, v in lam.items()}
-    upper: dict[str, int] = {}
+    downs = [p.down_covers(e) for e in order]
+    upper = {}
     for e in reversed(order):
         upper[e] = marks[e] if e in marks else min(upper[q] for q in p.up_covers(e))
-    points: list[dict[str, int]] = []
-    vals: dict[str, int] = {}
+    points: list[dict] = []
+    vals = {}
 
     def rec(idx: int):
         if idx == len(order):
             points.append(dict(vals))
             return
         e = order[idx]
-        lo = max((vals[d] for d in p.down_covers(e)), default=None)
+        lo = max((vals[d] for d in downs[idx]), default=None)
         if e in marks:
-            v = marks[e]
-            if lo is not None and lo > v:
+            if lo is not None and lo > marks[e]:
                 return
+            choices = (marks[e],)
+        else:
+            choices = candidates(lo, upper[e])
+        for v in choices:
             vals[e] = v
             rec(idx + 1)
-            del vals[e]
-            return
-        # validate() marks every extremal element, so e has a down cover
-        for v in range(lo, upper[e] + 1):
-            vals[e] = v
-            rec(idx + 1)
-            del vals[e]
+        vals.pop(e, None)
 
     rec(0)
     return points
+
+
+def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
+    """All integer points of O(P,A)_lambda, by interval propagation."""
+    mp.validate()
+    for a, v in mp.marking.items():
+        if v.denominator != 1:
+            raise PosetError(f"lattice_points needs integer markings, got {a}={v}")
+    marks = {a: int(v) for a, v in mp.marking.items()}
+    return _order_search(mp.poset, marks, lambda lo, hi: range(lo, hi + 1))
 
 
 def point_feasible(mp: MarkedPoset, x: dict) -> bool:
@@ -491,18 +496,16 @@ def is_vertex(mp: MarkedPoset, x: dict) -> bool:
 
 
 def enumerate_vertices(mp: MarkedPoset) -> list[dict]:
-    """All vertices: candidates give each unmarked element a marking value."""
+    """All vertices, by their unmarked values in element order.  Each block
+    of a vertex's point partition holds a marked element (Pegel, Order 2018),
+    so a vertex takes marking values only: the order search runs over the
+    marking values in each interval and keeps the points that pass `is_vertex`."""
     mp.validate()
     lam = mp.marking
     values = sorted(set(lam.values()))
     unmarked = [e for e in mp.poset.elements if e not in lam]
-    verts = []
-    for combo in product(values, repeat=len(unmarked)):
-        x = {e: lam[e] for e in lam}
-        x.update(dict(zip(unmarked, combo)))
-        if point_feasible(mp, x) and is_vertex(mp, x):
-            verts.append(x)
-    return verts
+    points = _order_search(mp.poset, lam, lambda lo, hi: values[bisect_left(values, lo) : bisect_right(values, hi)])
+    return sorted((x for x in points if is_vertex(mp, x)), key=lambda x: [x[e] for e in unmarked])
 
 
 def check_minkowski(mp: MarkedPoset, lam: dict, mu: dict, trials: int = 100, seed: int = 0) -> bool:
@@ -512,8 +515,6 @@ def check_minkowski(mp: MarkedPoset, lam: dict, mu: dict, trials: int = 100, see
     mp_m = mp.with_marking(mu)
     both = {a: _parse_rational(lam[a]) + _parse_rational(mu[a]) for a in lam}
     mp_b = mp.with_marking(both)
-    for m in (mp_l, mp_m, mp_b):
-        m.validate()
     els = mp.poset.elements
     verts = [
         [tuple(Fraction(v[e]) for e in els) for v in enumerate_vertices(m)]

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import neg, pos
 
+from .combinat import as_partition
 from .flow import FlowError, FlowNetwork
 from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, _kahn, hat_covers, hat_poset, point_feasible
 
@@ -520,6 +521,18 @@ def _skew_id(i: int, j: int) -> str:
     return f"y{i}_{j}"
 
 
+def _skew_rows(lam, mu, m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """lam, mu padded with zeros to lam's length, and that length n; a skew
+    instance needs n >= 1, m >= 1 and mu no longer than lam."""
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    if len(mu) > len(lam):
+        raise ValueError("mu must fit inside lam")
+    if not lam or m < 1:
+        raise ValueError("need at least one column and m >= 1")
+    return lam, mu + (0,) * (len(lam) - len(mu)), len(lam)
+
+
 def build_skew_gt(lam, mu, m: int) -> MarkedEmbedding:
     """Marked poset plus embedding for the skew polytope with top row lam,
     bottom row mu, and m+1 rows in total.
@@ -527,16 +540,7 @@ def build_skew_gt(lam, mu, m: int) -> MarkedEmbedding:
     Cells (i, j): i = 1 (bottom, marked mu) .. m+1 (top, marked lam),
     j = 1..n.  Relations: (i-1,j) <= (i,j) and (i+1,j+1) <= (i,j).
     """
-    from .combinat import as_partition
-
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if len(mu) > len(lam):
-        raise ValueError("mu must fit inside lam")
-    mu = mu + (0,) * (len(lam) - len(mu))
-    n = len(lam)
-    if n < 1 or m < 1:
-        raise ValueError("need at least one column and m >= 1")
+    lam, mu, n = _skew_rows(lam, mu, m)
     if any(mu[j] > lam[j] for j in range(n)):
         raise ValueError("mu must be contained in lam columnwise")
 
@@ -586,12 +590,7 @@ def build_skew_gt(lam, mu, m: int) -> MarkedEmbedding:
 
 def enumerate_skew_points(lam, mu, m: int) -> list[dict[str, int]]:
     """Independent cell-by-cell enumeration of the integer skew arrays."""
-    from .combinat import as_partition
-
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    mu = mu + (0,) * (len(lam) - len(mu))
-    n = len(lam)
+    lam, mu, n = _skew_rows(lam, mu, m)
     vals: dict[tuple[int, int], int] = {}
     for j in range(1, n + 1):
         vals[(1, j)] = mu[j - 1]

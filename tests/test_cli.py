@@ -72,6 +72,18 @@ def test_skew_check(capsys):
     assert code == 0
 
 
+def test_bad_skew_input_gives_one_line_and_exit_2(capsys):
+    # no rows between mu and lam, or a mu longer than lam, is bad input for
+    # every --what, the point count included
+    for argv in (("2,1", "1,0", "--rows", "0"), ("2,1", "1,0", "--rows", "-1"), ("1", "1,1", "--rows", "2")):
+        for what in ("points", "network", "check"):
+            assert main(["skew", *argv, "--what", what]) == 2, (argv, what)
+            err = capsys.readouterr().err
+            assert err.startswith("gtflow: ") and err.count("\n") == 1, (argv, what)
+    # a mu not inside lam columnwise is an empty polytope: it has 0 points
+    assert run(capsys, "skew", "1,0", "2,0", "--rows", "2", "--what", "points") == (0, "0\n")
+
+
 def test_subdivide_json(tmp_path, capsys):
     g = FlowNetwork.make(4, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)], (1, 0, 0, -1))
     f = tmp_path / "net.json"

@@ -34,6 +34,25 @@ def test_library_raises_its_own_errors_not_assertion_error():
     assert found == []
 
 
+# The library's one true division: a Fraction term of marked_volume.
+_DIVISION_SITES = {("poset.py", "term /= math.factorial(g)")}
+
+
+def test_library_arithmetic_is_exact():
+    # no float enters the library: no float literal, no float() call, and a
+    # true division only at a listed site
+    found = []
+    for name, node in _library_nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{name}:{node.lineno}: float literal")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{name}:{node.lineno}: float() call")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            if (name, ast.unparse(node)) not in _DIVISION_SITES:
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == [], "\n".join(found)
+
+
 # A reference oracle that tests compare the library against; nothing in the
 # library calls it, by design.
 _UNREACHED_BY_DESIGN = {"combinat.enumerate_shsyt_corner_oracle"}

@@ -1,7 +1,8 @@
 import math
 from fractions import Fraction
+from itertools import product
 
-from gtflow import poset
+from gtflow import corpus, poset
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from gtflow.poset import (
     make_order_polytope_mp,
     marked_volume,
     normalized_volume,
+    point_feasible,
     unit_markings,
 )
 
@@ -204,6 +206,46 @@ def test_check_minkowski_sees_a_missing_vertex(monkeypatch):
 
     monkeypatch.setattr(poset, "enumerate_vertices", drop_one_sum_vertex)
     assert not check_minkowski(mp, lam, mu)
+
+
+def product_vertices(mp):
+    """Oracle: every assignment of marking values to the unmarked elements,
+    in product order over the elements, kept if it is a vertex."""
+    lam = mp.marking
+    values = sorted(set(lam.values()))
+    unmarked = [e for e in mp.poset.elements if e not in lam]
+    verts = []
+    for combo in product(values, repeat=len(unmarked)):
+        x = {**lam, **dict(zip(unmarked, combo))}
+        if point_feasible(mp, x) and is_vertex(mp, x):
+            verts.append(x)
+    return verts
+
+
+def vertex_cases():
+    for name, me in corpus.embeddings():
+        yield name, me.mp
+        for i, omega in enumerate(unit_markings(me.mp), 1):
+            yield f"{name}@omega{i}", me.mp.with_marking(omega)
+    for name, p in corpus.posets():
+        yield f"order-polytope:{name}", make_order_polytope_mp(p)
+    for lam in [(2, 1, 0), (2, 2, 0), (3, 2, 1, 0), (3, 3, 1, 0)]:
+        yield f"gt:{','.join(map(str, lam))}", gt_embedding(lam).mp
+    rational_diamond = Poset.from_covers(["a", "c", "x", "y"], [("a", "x"), ("a", "y"), ("x", "c"), ("y", "c")])
+    yield "rational-diamond", MarkedPoset.make(rational_diamond, {"a": Fraction(1, 2), "c": Fraction(7, 2)})
+
+
+@pytest.mark.parametrize("mp", [pytest.param(mp, id=name) for name, mp in vertex_cases()])
+def test_enumerate_vertices_matches_the_product_oracle(mp):
+    assert enumerate_vertices(mp) == product_vertices(mp)
+
+
+def test_check_minkowski_at_gt_n5():
+    # the two marking pairs that verify_poset draws for each embedding
+    mp = gt_embedding((4, 3, 2, 1, 0)).mp
+    omegas = unit_markings(mp)
+    for i, (l1, l2) in enumerate([(mp.marking, omegas[0]), (omegas[0], omegas[-1])]):
+        assert check_minkowski(mp, dict(l1), dict(l2), trials=100, seed=i)
 
 
 def test_check_log_concavity_small():
