@@ -153,16 +153,16 @@ def cmd_skew(args) -> int:
     mu = as_partition(_parse_ints(args.mu))
     if args.what == "points":
         _emit(str(len(enumerate_skew_points(lam, mu, args.rows))), args.out)
-    elif args.what == "network":
-        dn = build_skew_flow(lam, mu, args.rows)
+        return 0
+    dn = build_skew_flow(lam, mu, args.rows)
+    if args.what == "network":
         _emit(_dump_json(dn.network.to_json()), args.out)
-    else:
-        dn = build_skew_flow(lam, mu, args.rows)  # gate raises on mismatch
-        _emit(
-            f"check OK: {kostant(dn.network)} flows = "
-            f"{len(enumerate_skew_points(lam, mu, args.rows))} points",
-            args.out,
-        )
+        return 0
+    flows, points = kostant(dn.network), len(enumerate_skew_points(lam, mu, args.rows))
+    if flows != points:
+        _emit(f"check FAILED: {flows} flows != {points} points", args.out)
+        return 1
+    _emit(f"check OK: {flows} flows = {points} points", args.out)
     return 0
 
 

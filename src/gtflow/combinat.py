@@ -1,14 +1,16 @@
 """Exact combinatorial primitives shared by every other module.
 
-Weak compositions, signed binomial coefficients, shifted standard Young
-tableaux of staircase shape, and semistandard tableau counts.
-All arithmetic is exact: Python ints only, no floats.
+Weak compositions, signed binomial coefficients, Ehrhart leading
+coefficients, the gap-vector volume sum, shifted standard Young tableaux of
+staircase shape, and semistandard tableau counts.
+All arithmetic is exact: Python ints and Fractions, no floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -71,11 +73,33 @@ def binomial(m: int, k: int) -> int:
     return q
 
 
-def finite_difference(values) -> int:
-    """sum_i (-1)^(k-i) binom(k, i) values[i] over values at t = 0..k: k! times
-    the t^k coefficient of the polynomial of degree at most k through them."""
+def leading_coefficient(values) -> Fraction:
+    """The t^k coefficient of the polynomial of degree at most k through
+    values at t = 0..k: the k-th finite difference
+    sum_i (-1)^(k-i) binom(k, i) values[i], over k!."""
     k = len(values) - 1
-    return sum((-1) ** (k - i) * math.comb(k, i) * c for i, c in enumerate(values))
+    diff = sum((-1) ** (k - i) * math.comb(k, i) * c for i, c in enumerate(values))
+    return Fraction(diff, math.factorial(k))
+
+
+def gap_volume(table: Mapping[tuple[int, ...], int], gaps) -> Fraction:
+    """sum over the gap vectors a of table[a] * prod_t gaps[t]^a_t / a_t!.
+
+    Every a must sum to one M, so each term is table[a] times the int
+    multinomial M! / prod_t a_t! times the gap powers, and the sum is
+    divided by M! once.  The gaps may be Fractions; a zero gap contributes
+    0**0 == 1 where a_t = 0 and 0 elsewhere."""
+    sizes = {sum(a) for a in table}
+    if len(sizes) > 1:
+        raise ValueError(f"gap vectors must all have one sum, got sums {sorted(sizes)}")
+    scale = math.factorial(sizes.pop() if sizes else 0)
+    total = 0
+    for a, count in table.items():
+        term = count * (scale // math.prod(map(math.factorial, a)))
+        for g, k in zip(gaps, a):
+            term *= g**k
+        total += term
+    return Fraction(total, scale)
 
 
 def multiset_binomial(n: int, k: int) -> int:

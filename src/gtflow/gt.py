@@ -9,7 +9,6 @@ x_{i-1,j-1} >= x_{ij} >= x_{i-1,j}.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .combinat import ShiftedTableau, _compile_lambda, as_partition, diagonal_counts, shifted_cells
+from .combinat import ShiftedTableau, _compile_lambda, as_partition, diagonal_counts, gap_volume, shifted_cells
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
 from .poset import MarkedPoset, Poset
 from .transform import BOTTOM, SENTINEL, TOP, Face, MarkedEmbedding
@@ -117,19 +116,9 @@ def gt_volume_product(lam) -> Fraction:
 def gt_volume_shsyt(lam) -> Fraction:
     """Volume as a sum of gap powers weighted by shifted-tableau counts:
     sum over b of count_N(n, b) * prod_i g_i^b_i / b_i!, over the b with a
-    nonzero count.  Every b sums to M = binom(n, 2), so the sum is taken in
-    ints scaled by M! (M! / prod b_i! is a multinomial) and divided once."""
+    nonzero count, g_i = lam_i - lam_(i+1)."""
     lam = as_partition(lam)
-    n = len(lam)
-    gaps = [lam[i] - lam[i + 1] for i in range(n - 1)]
-    total = n * (n - 1) // 2
-    scaled = 0
-    for b, cnt in diagonal_counts(n).items():
-        term = cnt * math.factorial(total)
-        for g, bi in zip(gaps, b):
-            term = term * g**bi // math.factorial(bi)
-        scaled += term
-    return Fraction(scaled, math.factorial(total))
+    return gap_volume(diagonal_counts(len(lam)), [x - y for x, y in zip(lam, lam[1:])])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .combinat import enumerate_compositions
+from .combinat import enumerate_compositions, gap_volume
 
 BOTTOM = "0hat"
 TOP = "1hat"
@@ -441,22 +441,9 @@ def marked_volume(mp: MarkedPoset) -> Fraction:
     """Volume of the projected marked order polytope: the sum over gap
     vectors a of N(a) times the simplex-product volume prod g_t^a_t / a_t!,
     g_t the t-th difference of the sorted marks."""
-    mp.validate()
-    lam = mp.marking
-    marked = mp.sorted_marked()
-    values = [lam[e] for e in marked]
-    vol = Fraction(0)
-    for gaps, count in extension_gap_counts(mp).items():
-        term = Fraction(count)
-        for t, g in enumerate(gaps):
-            diff = values[t] - values[t + 1]
-            if diff == 0 and g > 0:
-                term = Fraction(0)
-                break
-            term *= diff**g
-            term /= math.factorial(g)
-        vol += term
-    return vol
+    table = extension_gap_counts(mp)  # validates mp
+    values = [mp.marking[e] for e in mp.sorted_marked()]
+    return gap_volume(table, [x - y for x, y in zip(values, values[1:])])
 
 
 def normalized_volume(mp: MarkedPoset) -> Fraction:

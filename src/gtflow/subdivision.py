@@ -18,13 +18,12 @@ and out-edge).  `_root_point` maps a flow into root coordinates with them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .combinat import enumerate_compositions, finite_difference
+from .combinat import enumerate_compositions, leading_coefficient
 from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
 from .poset import BOTTOM, TOP, MarkedPoset, PosetError, lattice_points, marked_volume
 from .transform import (
@@ -440,8 +439,6 @@ def _leaf_cell_volume(net: FlowNetwork, dim: int) -> Fraction:
     """Volume of a fully reduced cell in the given ambient dimension: the
     simplex-product formula when it applies, otherwise the exact Ehrhart
     leading coefficient (multi-sink cells are not simplex products)."""
-    if net.num_vertices == 1:
-        return Fraction(1) if dim == 0 else Fraction(0)
     if net.dimension() == dim:
         try:
             return leaf_volume(net)
@@ -451,7 +448,7 @@ def _leaf_cell_volume(net: FlowNetwork, dim: int) -> Fraction:
         kostant(net.with_netflow(tuple(t * x for x in net.netflow)))
         for t in range(dim + 1)
     ]
-    return Fraction(finite_difference(counts), math.factorial(dim))
+    return leading_coefficient(counts)
 
 
 def _reduction_order(state: _CellState) -> list[str]:

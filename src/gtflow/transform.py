@@ -20,6 +20,7 @@ Remnants without any edges (the outer faces) are dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -323,13 +324,6 @@ class DualNetwork:
         return tuple(int(v) if v.denominator == 1 else v for v in (lamhat[BOTTOM], lamhat[TOP]))
 
 
-def _gap_of(marked_positions, cover_pos):
-    for g in range(len(marked_positions) - 1):
-        if marked_positions[g] <= cover_pos < marked_positions[g + 1]:
-            return g
-    raise EmbeddingError("cover outside the marked span of its chain")
-
-
 def _vertex_name(key) -> str:
     if key[0] == "face":
         return key[1]
@@ -370,7 +364,9 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
             return ("face", fi)
         if side == "LR".index(me.flags[fi]):  # cov lies on the flagged chain
             t = _chain_covers(me.flagged_chain(fi)).index(cov)
-            return (("src", "sink")[side], fi, _gap_of(processed[fi][0], t))
+            # the marked positions run from 0 to the chain's end (checked above),
+            # so cover t lies in exactly one gap
+            return (("src", "sink")[side], fi, bisect_right(processed[fi][0], t) - 1)
         return (("rsrc", "rsink")[side], fi)
 
     all_covers = [cov for face in faces if face.left != SENTINEL for cov in _chain_covers(face.left)]
@@ -392,12 +388,6 @@ def build_G_PAlambda(me: MarkedEmbedding) -> DualNetwork:
         if me.flagged_chain(fi) != SENTINEL:
             for g in range(len(marks) - 1):
                 netflows[(("src", "sink")[side], fi, g)] = sign(lamhat[marks[g]] - lamhat[marks[g + 1]])
-    used = set(edge_tail.values()) | set(edge_head.values())
-    for key in list(netflows):
-        if key[0] in ("src", "sink") and key not in used:
-            # a gap whose boundary segment carries no dual edges cannot happen:
-            # every gap spans at least one cover
-            raise EmbeddingError(f"empty gap vertex {key}")
 
     sources = [k for k in netflows if k[0] in ("src", "rsrc")]
     plains = [k for k in netflows if k[0] == "face"]
@@ -626,21 +616,11 @@ def enumerate_skew_points(lam, mu, m: int) -> list[dict[str, int]]:
 
 
 def build_skew_flow(lam, mu, m: int) -> DualNetwork:
-    """Flow network for a skew polytope, with an empirical correctness gate:
-    the integer-flow count is verified against direct enumeration."""
+    """Flow network for a skew polytope: the dual of build_skew_gt."""
     try:
         me = build_skew_gt(lam, mu, m)
     except EmbeddingError as e:
         raise EmbeddingError(
             f"no valid boundary-side assignment for this skew instance: {e}"
         ) from e
-    dn = build_G_PAlambda(me)
-    from .flow import kostant
-
-    expected = len(enumerate_skew_points(lam, mu, m))
-    got = kostant(dn.network)
-    if got != expected:
-        raise EmbeddingError(
-            f"side assignment failed the count gate: {got} flows vs {expected} points"
-        )
-    return dn
+    return build_G_PAlambda(me)

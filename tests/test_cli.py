@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gtflow import corpus
+from gtflow import cli, corpus, transform
 from gtflow.cli import _GT_METHODS, main
 from gtflow.flow import FlowNetwork
 from gtflow.gt import gt_embedding
@@ -70,6 +70,21 @@ def test_skew_check(capsys):
     assert code == 0 and "check OK" in out
     code, out = run(capsys, "skew", "2,1", "1,0", "--rows", "3", "--what", "points")
     assert code == 0
+
+
+def test_a_skew_count_mismatch_fails_the_check_with_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "kostant", lambda g: 10)
+    assert run(capsys, "skew", "2,1", "1,0", "--rows", "3") == (1, "check FAILED: 10 flows != 9 points\n")
+
+
+def test_a_skew_network_enumerates_no_point(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_skew_points called")
+
+    monkeypatch.setattr(cli, "enumerate_skew_points", refuse)
+    monkeypatch.setattr(transform, "enumerate_skew_points", refuse)
+    code, out = run(capsys, "skew", "2,1", "1,0", "--rows", "3", "--what", "network")
+    assert code == 0 and FlowNetwork.from_json(json.loads(out)).num_vertices > 0
 
 
 def test_bad_skew_input_gives_one_line_and_exit_2(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from gtflow.combinat import (
     enumerate_compositions,
     enumerate_shsyt,
     enumerate_shsyt_corner_oracle,
-    finite_difference,
+    gap_volume,
+    leading_coefficient,
     multiset_binomial,
 )
 
@@ -57,12 +59,45 @@ def test_binomial_polynomial_convention():
     assert binomial(5, -1) == 0
 
 
-def test_finite_difference_of_polynomial_values():
-    # t^3 - t + 5: third difference 3!, fourth difference 0
+def test_leading_coefficient_of_polynomial_values():
+    # t^3 - t + 5: t^3 coefficient 1 through four values, t^4 coefficient 0
+    # through five
     values = [t**3 - t + 5 for t in range(5)]
-    assert finite_difference(values[:4]) == 6
-    assert finite_difference(values) == 0
-    assert finite_difference([7]) == 7
+    assert leading_coefficient(values[:4]) == 1
+    assert leading_coefficient(values) == 0
+    assert leading_coefficient([7]) == 7
+    assert isinstance(leading_coefficient(values[:4]), Fraction)
+
+
+def _gap_volume_reference(table, gaps):
+    # the sum term by term in Fractions, one factorial division per factor
+    vol = Fraction(0)
+    for a, count in table.items():
+        term = Fraction(count)
+        for g, k in zip(gaps, a):
+            term *= Fraction(g) ** k / math.factorial(k)
+        vol += term
+    return vol
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_gap_volume_matches_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    parts, total = rng.randint(1, 4), rng.randint(0, 6)
+    comps = enumerate_compositions(total, parts)
+    table = {a: rng.randint(1, 40) for a in rng.sample(comps, rng.randint(1, len(comps)))}
+    gaps = [rng.choice([0, 1, rng.randint(2, 9), Fraction(rng.randint(0, 9), rng.randint(1, 6))]) for _ in range(parts)]
+    assert gap_volume(table, gaps) == _gap_volume_reference(table, gaps)
+
+
+def test_gap_volume_edge_cases():
+    assert gap_volume({}, [1, 2]) == 0
+    assert gap_volume({(): 5}, []) == 5
+    # a zero gap keeps only the terms that put nothing in it: 5 * 2^2 / 2!
+    assert gap_volume({(2, 0): 3, (1, 1): 4, (0, 2): 5}, [0, 2]) == 10
+    assert gap_volume({(1, 1): 1}, [Fraction(1, 2), Fraction(1, 3)]) == Fraction(1, 6)
+    with pytest.raises(ValueError, match="one sum"):
+        gap_volume({(1, 0): 1, (1, 1): 1}, [1, 1])
 
 
 def test_multiset_binomial_examples():
@@ -289,6 +324,13 @@ def test_count_N_at_n7_sums_to_thrall_count():
 @pytest.mark.parametrize("lam", [(6, 5, 4, 3, 2, 1, 0), (9, 7, 4, 3, 3, 1, 0), (3, 3, 3, 2, 0, 0, 0)])
 def test_gt_volume_shsyt_at_n7_equals_product(lam):
     assert gt.gt_volume_shsyt(lam) == gt.gt_volume_product(lam)
+
+
+def test_gt_volume_shsyt_at_one_part_and_at_repeated_parts():
+    # n = 1 is a point; a repeated part is a zero gap, and the volume is 0
+    assert gt.gt_volume_shsyt((5,)) == 1
+    for lam in [(2, 2), (3, 3, 1), (4, 2, 2, 0)]:
+        assert gt.gt_volume_shsyt(lam) == 0 == gt.gt_volume_product(lam)
 
 
 def test_count_N_small():

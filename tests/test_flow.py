@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtflow.combinat import finite_difference
+from gtflow.combinat import leading_coefficient
 from gtflow.flow import (
     FlowError,
     FlowNetwork,
@@ -156,7 +156,7 @@ def test_lidskii_forms_match_enumeration(seed):
     counts = [
         len(enumerate_integer_flows(g, tuple(t * x for x in g.netflow))) for t in range(dim + 1)
     ]
-    assert lidskii_volume(g) == Fraction(finite_difference(counts), math.factorial(dim))
+    assert lidskii_volume(g) == leading_coefficient(counts)
 
 
 def test_lidskii_volume_is_ehrhart_leading_coefficient():
@@ -302,4 +302,4 @@ def test_kostant_and_lidskii_on_networks_without_a_forced_path(g):
     counts = [
         len(enumerate_integer_flows(g, tuple(t * x for x in g.netflow))) for t in range(dim + 1)
     ]
-    assert lidskii_volume(g) == Fraction(finite_difference(counts), math.factorial(dim))
+    assert lidskii_volume(g) == leading_coefficient(counts)

@@ -34,8 +34,9 @@ def test_library_raises_its_own_errors_not_assertion_error():
     assert found == []
 
 
-# The library's one true division: a Fraction term of marked_volume.
-_DIVISION_SITES = {("poset.py", "term /= math.factorial(g)")}
+# Sites allowed a true division: none; a quotient is a Fraction or an
+# exact int floor division.
+_DIVISION_SITES = set()
 
 
 def test_library_arithmetic_is_exact():

@@ -307,13 +307,17 @@ def test_verify_subdivision_raises_on_an_embedding_without_a_dual(tmp_path, monk
     chain = [TOP, "c", "b", "a", BOTTOM]
     me = MarkedEmbedding.make(mp, [(SENTINEL, chain), (chain, SENTINEL)])
     (tmp_path / "half.embedding.json").write_text(json.dumps(me.to_json()))
+    loaders = (corpus.networks, corpus.embeddings, corpus.posets)
     monkeypatch.setenv(corpus.CORPUS_ENV, str(tmp_path))
-    corpus.embeddings.cache_clear()
+    for load in loaders:
+        load.cache_clear()
     try:
         with pytest.raises(EmbeddingError, match="integer markings"):
             run_verify("subdivision")
     finally:
-        corpus.embeddings.cache_clear()
+        # every loader read the external corpus: none keeps it for later tests
+        for load in loaders:
+            load.cache_clear()
 
 
 def test_an_external_corpus_loads_each_file_under_its_stem(tmp_path, monkeypatch):
