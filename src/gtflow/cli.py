@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .combinat import as_partition
-from .flow import FlowNetwork, enumerate_integer_flows, kostant, lidskii_points_binomial, lidskii_points_multiset, lidskii_volume
+from .flow import FlowNetwork, enumerate_integer_flows, kostant, lidskii_points_binomial, lidskii_points_multiset, lidskii_volume, simplify
 from .gt import (
     build_G_lambda,
     enumerate_gt_points,
@@ -29,7 +29,7 @@ from .gt import (
 )
 from .subdivision import canonical_reduction_tree, leaves_to_extensions, reduction_tree_volume
 from .transform import MarkedEmbedding, build_G_PAlambda, build_skew_flow, enumerate_skew_points
-from .verify import DEFAULT_BOUNDS, run_verify
+from .verify import DEFAULT_BOUNDS, SCOPES, run_verify
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
@@ -91,6 +91,8 @@ def cmd_gt(args) -> int:
     lam = as_partition(_parse_ints(args.partition))
     if not lam:
         raise ValueError("gt needs a partition with at least one part")
+    if args.check and args.what != "bijection":
+        raise ValueError(f"gt {args.what} takes no --check")
     if args.what in _GT_METHODS:
         methods = _GT_METHODS[args.what]
         method = args.method or "product"
@@ -169,8 +171,6 @@ def cmd_skew(args) -> int:
 def cmd_subdivide(args) -> int:
     g = _load_network(args.network)
     if args.simplify:
-        from .flow import simplify
-
         g, _, _ = simplify(g)
     tree = canonical_reduction_tree(g)
     if args.format == "dot":
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_bijection)
 
     p = sub.add_parser("verify", help="run the identity suites")
-    p.add_argument("--scope", choices=["gt", "flow", "poset", "transform", "subdivision", "all"], default="all")
+    p.add_argument("--scope", choices=[*SCOPES, "all"], default="all")
     defaults = ",".join(f"{k}={v}" for k, v in DEFAULT_BOUNDS.items())
     p.add_argument("--bounds", help=f"comma-separated nonnegative ints; the defaults are {defaults}")
     p.add_argument("--seed", type=int, default=0)

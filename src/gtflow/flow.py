@@ -421,33 +421,28 @@ def leaf_volume(g: FlowNetwork) -> Fraction:
 
 def simplify(g: FlowNetwork):
     """Drop edges whose flow is forced to zero (out-edges of netflow-0
-    in-degree-0 vertices, in-edges of netflow-0 out-degree-0 vertices,
-    iterated) and then drop isolated netflow-0 vertices.
+    vertices with no live in-edge, in-edges of netflow-0 vertices with no
+    live out-edge) and then drop isolated netflow-0 vertices.
 
     Returns (network, vertex_map, edge_map): maps from new indices to old.
     """
-    alive_edges = set(range(len(g.edges)))
-    alive_vertices = set(range(g.num_vertices))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive_vertices):
-            if g.netflow[v] != 0:
-                continue
-            ins = [i for i in g.in_edges(v) if i in alive_edges]
-            outs = [i for i in g.out_edges(v) if i in alive_edges]
-            if not ins and outs:
-                alive_edges -= set(outs)
-                changed = True
-            if not outs and ins:
-                alive_edges -= set(ins)
-                changed = True
-            if not ins and not outs:
-                alive_vertices.discard(v)
-                changed = True
-    vmap = sorted(alive_vertices)
+    # Every edge goes up in index, so a forward sweep settles forced-zero
+    # inflow and a backward sweep forced-zero outflow.  Neither makes work for
+    # the other: each strips a vertex's edges on one side only once it has no
+    # live edge on the other.
+    alive = [True] * len(g.edges)
+    for v in range(g.num_vertices):
+        if g.netflow[v] == 0 and not any(alive[i] for i in g.in_edges(v)):
+            for i in g.out_edges(v):
+                alive[i] = False
+    for v in reversed(range(g.num_vertices)):
+        if g.netflow[v] == 0 and not any(alive[i] for i in g.out_edges(v)):
+            for i in g.in_edges(v):
+                alive[i] = False
+    emap = [i for i in range(len(g.edges)) if alive[i]]
+    live = {u for i in emap for u in g.edges[i]}
+    vmap = [v for v in range(g.num_vertices) if g.netflow[v] != 0 or v in live]
     vidx = {old: new for new, old in enumerate(vmap)}
-    emap = [i for i in range(len(g.edges)) if i in alive_edges]
     edges = [(vidx[g.edges[i][0]], vidx[g.edges[i][1]]) for i in emap]
     netflow = [g.netflow[v] for v in vmap]
     eidx = {old: new for new, old in enumerate(emap)}

@@ -118,10 +118,11 @@ def compound_reductions(g: FlowNetwork, v: int, trees):
     """Replace the zero-netflow vertex v by each tree's edge identifications.
 
     Yields (network, survivor_map old->new, pairs) per tree, where pairs
-    lists (new_edge_index, old_in_edge, old_out_edge) for the tree edges.
-    What does not depend on the tree is built once: the surviving edges,
-    the map (shared by the children), the kept vertices' netflow and names,
-    and the renumbered edge orders at every vertex with no edge at v.
+    lists (new_edge_index, old_in_edge, old_out_edge) for the tree edges,
+    which follow the survivors (kept in order) in the child.  What does not
+    depend on the tree is built once: the surviving edges, the map (shared
+    by the children), the kept vertices' netflow and names, and the
+    renumbered edge orders at every vertex with no edge at v.
     """
     if g.netflow[v] != 0:
         raise FlowError(f"vertex {v} has nonzero netflow")
@@ -258,52 +259,51 @@ def _root_point(flow, inclusion, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _carry(values, old_to_new, pairs, fresh) -> tuple:
-    """Per-edge values of a compound reduction's child: survivors keep their
-    value, the tree edges of `pairs` take `fresh` in order."""
-    out = [None] * (len(old_to_new) + len(pairs))
-    for old, new in old_to_new.items():
-        out[new] = values[old]
-    for (idx, _, _), x in zip(pairs, fresh):
-        out[idx] = x
+def _carry(values, old_to_new, fresh) -> tuple:
+    """Per-edge values of a compound reduction's child, whose edges are the
+    survivors in order and then the tree edges: survivors keep their value,
+    the tree edges take `fresh` in order."""
+    out = [values[i] for i in old_to_new]
+    out += fresh
     return tuple(out)
 
 
-def _next_zero_vertex(g: FlowNetwork):
-    for v in range(g.num_vertices - 1, -1, -1):
-        if g.netflow[v] == 0 and g.num_vertices > 1:
-            return v
-    return None
+def _root_paths(inclusion, old_to_new, pairs) -> tuple:
+    """A compound reduction child's root paths: a tree edge joins the paths
+    of its in- and out-edge."""
+    return _carry(inclusion, old_to_new, [inclusion[a] + inclusion[b] for _, a, b in pairs])
+
+
+def _zero_vertices(g: FlowNetwork) -> list[int]:
+    """The zero-netflow vertices, highest index first (none on one vertex).
+    Reducing v keeps every lower index and every kept netflow, so the order
+    read at a root holds below it: the node at depth d reduces entry d."""
+    if g.num_vertices == 1:
+        return []
+    return [v for v in reversed(range(g.num_vertices)) if g.netflow[v] == 0]
 
 
 def canonical_reduction_tree(g: FlowNetwork) -> ReductionTree:
     """Fully expand compounded reductions, highest-index zero-netflow vertex
     first."""
     check_sign_convention(g)
+    order = _zero_vertices(g)
     nodes = [ReductionNode(g, tuple((i,) for i in range(len(g.edges))))]
     children: dict[int, list[int]] = {}
-    stack = [0]
+    stack = [(0, 0)]
     while stack:
-        ni = stack.pop()
-        net = nodes[ni].network
-        v = _next_zero_vertex(net)
-        if v is None:
+        ni, depth = stack.pop()
+        if depth == len(order):
             continue
+        v = order[depth]
+        net = nodes[ni].network
         children[ni] = []
         trees = enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v))
         for tree, (child, old_to_new, pairs) in zip(trees, compound_reductions(net, v, trees)):
-            inc = nodes[ni].inclusion
-            node = ReductionNode(
-                child,
-                _carry(inc, old_to_new, pairs, [inc[a] + inc[b] for _, a, b in pairs]),
-                parent=ni,
-                reduced_vertex=v,
-                composition=tree.to_composition(),
-            )
-            nodes.append(node)
-            ci = len(nodes) - 1
-            children[ni].append(ci)
-            stack.append(ci)
+            paths = _root_paths(nodes[ni].inclusion, old_to_new, pairs)
+            nodes.append(ReductionNode(child, paths, ni, v, tree.to_composition()))
+            children[ni].append(len(nodes) - 1)
+            stack.append((len(nodes) - 1, depth + 1))
     return ReductionTree(nodes, children)
 
 
@@ -453,11 +453,7 @@ def _leaf_cell_volume(net: FlowNetwork, dim: int) -> Fraction:
 
 def _reduction_order(state: _CellState) -> list[str]:
     """Face ids of zero-netflow vertices, highest network index first."""
-    out = []
-    for v in range(state.network.num_vertices - 1, -1, -1):
-        if state.keys[v][0] == "face" and state.network.netflow[v] == 0:
-            out.append(state.keys[v][1])
-    return out
+    return [state.keys[v][1] for v in _zero_vertices(state.network) if state.keys[v][0] == "face"]
 
 
 def _face_vertex(state: _CellState, face_id: str) -> tuple[int, Face]:
@@ -488,7 +484,6 @@ def _steps(state: _CellState, face_id: str, tree: NoncrossingTree | None = None)
         trees = (tree,)
         reductions = (compound_reduce(net, v, t) for t in trees)
     keys = state.keys[:v] + state.keys[v + 1 :]  # the child's faces keep their ids
-    inc = state.inclusion
     for t in trees:
         sigma = sigma_from_tree(face, t)
         child_me = subdivide_with_extension(state.me, face_id, sigma)
@@ -498,8 +493,8 @@ def _steps(state: _CellState, face_id: str, tree: NoncrossingTree | None = None)
             child_me,
             child_net,
             keys,
-            _carry(state.crossings, old_to_new, pairs, crossings),
-            _carry(inc, old_to_new, pairs, [inc[a] + inc[b] for _, a, b in pairs]),
+            _carry(state.crossings, old_to_new, crossings),
+            _root_paths(state.inclusion, old_to_new, pairs),
         )
         yield child, old_to_new, pairs
 
@@ -656,7 +651,7 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
                 raise EmbeddingError("nonzero flow on an edge into the sink")
             tree = NoncrossingTree.from_composition(values[i] for i in state.network.in_edges(v))
             state, old_to_new, pairs = next(_steps(state, face_id, tree))
-            values = _carry(values, old_to_new, pairs, [0] * len(pairs))
+            values = _carry(values, old_to_new, [0] * len(pairs))
         if any(values):
             raise EmbeddingError("leaf flow should vanish identically")
         # leaf source out-degrees recover the gap composition

@@ -304,6 +304,8 @@ def verify_subdivision(amax: int, skipped: list) -> list[dict]:
 
 
 def run_verify(scope: str = "all", bounds: dict | None = None, seed: int = 0) -> dict:
+    if scope not in (*SCOPES, "all"):
+        raise ValueError(f"no verify scope {scope!r}; choose from {', '.join(SCOPES)}, all")
     bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
     records = []
     skipped: list[dict] = []

@@ -213,6 +213,12 @@ def test_gt_method_not_offered_gives_one_line_and_exit_2(capsys):
     assert capsys.readouterr().err == "gtflow: gt dim takes no --method\n"
 
 
+def test_gt_check_outside_bijection_gives_one_line_and_exit_2(capsys):
+    for what in ("dim", "vol", "points"):
+        assert main(["gt", what, "2,1,0", "--check"]) == 2
+        assert capsys.readouterr() == ("", f"gtflow: gt {what} takes no --check\n")
+
+
 def test_json_values_of_the_wrong_shape_give_one_line_and_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.network.json"
     f.write_text(json.dumps({"n": 2, "edges": [5], "netflow": [1, -1]}))

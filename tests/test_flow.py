@@ -218,6 +218,74 @@ def test_simplify_renumbers_each_order_side_on_its_own():
         assert kostant(s) == kostant(g)
 
 
+def _simplify_fixpoint(g):
+    """Reference for simplify: both forced-zero rules applied over every
+    vertex until a whole pass changes nothing."""
+    alive_edges = set(range(len(g.edges)))
+    alive_vertices = set(range(g.num_vertices))
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive_vertices):
+            if g.netflow[v] != 0:
+                continue
+            ins = [i for i in g.in_edges(v) if i in alive_edges]
+            outs = [i for i in g.out_edges(v) if i in alive_edges]
+            if not ins and outs:
+                alive_edges -= set(outs)
+                changed = True
+            if not outs and ins:
+                alive_edges -= set(ins)
+                changed = True
+            if not ins and not outs:
+                alive_vertices.discard(v)
+                changed = True
+    vmap = sorted(alive_vertices)
+    vidx = {old: new for new, old in enumerate(vmap)}
+    emap = sorted(alive_edges)
+    eidx = {old: new for new, old in enumerate(emap)}
+    in_orders, out_orders = (
+        None if orders is None else [[eidx[i] for i in orders[v] if i in eidx] for v in vmap]
+        for orders in (g.in_orders, g.out_orders)
+    )
+    new = FlowNetwork.make(
+        len(vmap),
+        [(vidx[g.edges[i][0]], vidx[g.edges[i][1]]) for i in emap],
+        [g.netflow[v] for v in vmap],
+        in_orders,
+        out_orders,
+        None if g.names is None else [g.names[v] for v in vmap],
+    )
+    return new, tuple(vmap), tuple(emap)
+
+
+def test_simplify_matches_the_fixpoint_loop():
+    rng = random.Random(0)
+    pruned = raised = 0
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [rng.choice(pool) for _ in range(rng.randint(0, 10))] if pool else []
+        a = [rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(n - 1)]
+        orders = [[[i for i, e in enumerate(edges) if e[side] == v] for v in range(n)] for side in (1, 0)]
+        for order in orders[0] + orders[1]:
+            rng.shuffle(order)
+        in_orders, out_orders = (o if rng.random() < 0.5 else None for o in orders)
+        names = [f"x{v}" for v in range(n)] if rng.random() < 0.5 else None
+        g = FlowNetwork.make(n, edges, a + [-sum(a)], in_orders, out_orders, names)
+        try:
+            got = simplify(g)
+        except FlowError as exc:
+            with pytest.raises(FlowError) as ref:
+                _simplify_fixpoint(g)
+            assert str(ref.value) == str(exc)
+            raised += 1
+            continue
+        assert got == _simplify_fixpoint(g)
+        pruned += len(got[2]) < len(edges)
+    assert pruned > 1000 and raised > 100
+
+
 def test_flow_json_round_trip():
     g = TRIANGLE
     assert FlowNetwork.from_json(g.to_json()) == FlowNetwork.make(

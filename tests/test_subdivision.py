@@ -209,6 +209,52 @@ def test_inclusions_are_root_paths():
                 assert g.check_flow(subdivision._root_point(f, tree.nodes[li].inclusion, len(g.edges)))
 
 
+def _scanned_tree(g):
+    """Reference for canonical_reduction_tree: each node is scanned for its
+    highest zero-netflow vertex, reduced one tree at a time, and its root
+    paths are placed by the tree-edge indices of the reduction."""
+    nodes = [ReductionNode(g, tuple((i,) for i in range(len(g.edges))))]
+    children = {}
+    stack = [0]
+    while stack:
+        ni = stack.pop()
+        net, inc = nodes[ni].network, nodes[ni].inclusion
+        zeros = [v for v in range(net.num_vertices) if net.netflow[v] == 0]
+        if net.num_vertices == 1 or not zeros:
+            continue
+        v = zeros[-1]
+        children[ni] = []
+        for tree in enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v)):
+            child, old_to_new, pairs = compound_reduce(net, v, tree)
+            paths = [None] * len(child.edges)
+            for old, new in old_to_new.items():
+                paths[new] = inc[old]
+            for idx, a, b in pairs:
+                paths[idx] = inc[a] + inc[b]
+            nodes.append(ReductionNode(child, tuple(paths), ni, v, tree.to_composition()))
+            children[ni].append(len(nodes) - 1)
+            stack.append(len(nodes) - 1)
+    return ReductionTree(nodes, children)
+
+
+def test_canonical_reduction_tree_matches_a_per_node_scan():
+    duals = [simplify(transform.build_G_PAlambda(me).network)[0] for _, me in corpus.embeddings()]
+    compared = 0
+    gts = [build_G_lambda(lam).network for lam in ((3, 2, 1, 0), (4, 3, 2, 1, 0))]
+    for g in [g for _, g in corpus.networks()] + duals + gts:
+        try:
+            tree = canonical_reduction_tree(g)
+        except FlowError:  # outside the sign convention
+            continue
+        ref = _scanned_tree(g)
+        assert tree.to_json() == ref.to_json()
+        assert tree.to_dot() == ref.to_dot()
+        assert tree.leaves() == ref.leaves()
+        assert [n.inclusion for n in tree.nodes] == [n.inclusion for n in ref.nodes]
+        compared += len(tree.nodes) > 1
+    assert compared >= 20
+
+
 # ---------------------------------------------------------------------------
 # order side
 

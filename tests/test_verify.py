@@ -3,7 +3,9 @@
 import json
 from collections import Counter
 
-from gtflow import corpus, verify
+import pytest
+
+from gtflow import cli, corpus, verify
 
 PROMOTED = (
     "gt/pts:weyl=ssyt",
@@ -31,6 +33,15 @@ def test_a_dropped_face_extension_fails_both_face_families(monkeypatch):
     records = [r for r in verify.run_verify("subdivision")["results"] if r["identity"] in FACE_FAMILIES]
     assert Counter(r["identity"] for r in records) == {FACE_FAMILIES[0]: 15, FACE_FAMILIES[1]: 15}
     assert not any(r["pass"] for r in records)
+
+
+def test_an_unknown_scope_is_rejected(capsys):
+    with pytest.raises(ValueError, match="no verify scope 'subdivisions'"):
+        verify.run_verify("subdivisions")
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--scope", "subdivisions"])
+    err = capsys.readouterr().err
+    assert "--scope" in err and "subdivisions" in err
 
 
 def test_run_verify_reads_its_defaults_from_default_bounds(monkeypatch):
