@@ -118,12 +118,11 @@ def shifted_cells(n: int) -> list[tuple[int, int]]:
 
 class _Layout(NamedTuple):
     """Row-major layout of a side-n staircase tableau with N = binom(n+1, 2)
-    cells, and what its entries are checked against."""
+    cells, and the check its entries must pass."""
 
     n: int
     starts: tuple[int, ...]  # flat index of cell (i, i) for i = 1..n, then N
-    values: list[int]  # 1..N
-    ordered: Callable  # entries -> whether every row pair and column pair increases
+    check: Callable  # entries -> whether they are a tableau of this layout
 
 
 def _compile_lambda(source: str) -> Callable:
@@ -132,22 +131,17 @@ def _compile_lambda(source: str) -> Callable:
     return eval(source, {"__builtins__": {}})
 
 
-def _compile_order_check(n: int, starts: tuple[int, ...]) -> Callable:
-    """entries -> whether e(i, j) < e(i, j+1) and e(i, j) < e(i+1, j) for
-    every such pair of cells: one chained comparison per row and one
-    comparison per column pair, over fixed indices, so that a check is one
-    call."""
-    rows = [
-        " < ".join(f"e[{k}]" for k in range(starts[i], starts[i + 1]))
-        for i in range(n)
-        if starts[i + 1] - starts[i] >= 2
-    ]
-    columns = [
-        f"e[{starts[i] + k + 1}] < e[{starts[i + 1] + k}]"
-        for i in range(n - 1)
-        for k in range(n - i - 1)
-    ]
-    return _compile_lambda(f"lambda e: {' and '.join(rows + columns) or 'True'}")
+def _compile_check(n: int, starts: tuple[int, ...]) -> Callable:
+    """The check of a _Layout as one compiled call: the entries are unpacked
+    into locals, then sorted and compared with 1..N, then tested with one
+    chained comparison per row and one comparison per column pair."""
+    rows = [" < ".join(f"a{k}" for k in range(starts[i], starts[i + 1])) for i in range(n - 1)]
+    columns = [f"a{starts[i] + k + 1} < a{starts[i + 1] + k}" for i in range(n - 1) for k in range(n - i - 1)]
+    names = "".join(f"a{k}, " for k in range(starts[n]))
+    order = " and ".join(rows + columns) or "True"
+    namespace = {"__builtins__": {}, "sorted": sorted, "values": list(range(1, starts[n] + 1))}
+    exec(f"def check(e):\n    {names}= e\n    return sorted(e) == values and {order}\n", namespace)
+    return namespace["check"]
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +152,7 @@ def _staircase_layout(size: int) -> _Layout | None:
     if n < 1 or n * (n + 1) // 2 != size:
         return None
     starts = tuple(i * n - i * (i - 1) // 2 for i in range(n + 1))
-    return _Layout(n, starts, list(range(1, size + 1)), _compile_order_check(n, starts))
+    return _Layout(n, starts, _compile_check(n, starts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,14 +170,15 @@ class ShiftedTableau:
         if not isinstance(self.entries, tuple):
             raise TypeError("entries must be a tuple")
         layout = _staircase_layout(len(self.entries))
+        if layout is not None and layout.check(self.entries):
+            return
         if layout is None:
             if not self.entries:
                 raise ValueError("a staircase tableau needs n >= 1")
             raise ValueError("entries must number binom(n+1,2) for some n")
-        if sorted(self.entries) != layout.values:
+        if sorted(self.entries) != list(range(1, len(self.entries) + 1)):
             raise ValueError("entries must be a permutation of 1..binom(n+1,2)")
-        if not layout.ordered(self.entries):
-            self._raise_first_violation()
+        self._raise_first_violation()
 
     def _raise_first_violation(self) -> None:
         n = self.n
@@ -265,35 +260,49 @@ def walk_shsyt(n: int, emit) -> None:
     buffer once, so a leaf's buffer is its tableau.  A state with a single
     addable cell forces its move, so each move is followed through the run
     of forced moves after it, and the walk branches only where a state has
-    two or more.
+    two or more.  A move into a state of k cells writes k, so a run is fixed
+    (cell, value) pairs.  Each leaf passes ShiftedTableau's compiled check
+    before it is made, or goes through the constructor, which raises.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     moves = _sub_staircase_moves(n)
     total = n * (n + 1) // 2
-    buf = [0] * total
+    check, buf = _staircase_layout(total).check, [0] * total
+    # states are numbered as they are first reached from 0, so each state's
+    # size is set before its own moves are read
+    size = [0] * len(moves)
+    for s, m in enumerate(moves):
+        for _, _, t in m:
+            size[t] = size[s] + 1
 
-    def forced_run(cell: int, t: int) -> tuple[tuple[int, ...], int]:
-        """The cells filled by the move into state t and the forced moves
-        after it, in order, and the state where they stop."""
-        cells = [cell]
+    def forced_run(cell: int, t: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
+        """The (cell, value) pairs written by the move into state t and the
+        forced moves after it, in order, and the state where they stop, None
+        when it is the full staircase."""
+        pairs = [(cell, size[t])]
         while len(moves[t]) == 1:
             [(_, cell, t)] = moves[t]
-            cells.append(cell)
-        return tuple(cells), t
+            pairs.append((cell, size[t]))
+        return tuple(pairs), t if moves[t] else None
 
     runs = [[forced_run(cell, t) for _, cell, t in m] for m in moves]
+    new, set_field = object.__new__, object.__setattr__
 
-    def rec(s: int, v: int) -> None:
-        for cells, t in runs[s]:
-            for w, cell in enumerate(cells, v):
+    def rec(s: int) -> None:
+        for pairs, t in runs[s]:
+            for cell, w in pairs:
                 buf[cell] = w
-            if w == total:
-                emit(ShiftedTableau(tuple(buf)))
+            if t is not None:
+                rec(t)
+            elif check(entries := tuple(buf)):
+                tableau = new(ShiftedTableau)
+                set_field(tableau, "entries", entries)
+                emit(tableau)
             else:
-                rec(t, w + 1)
+                ShiftedTableau(entries)  # raises the entries' first error
 
-    rec(0, 1)
+    rec(0)
 
 
 @lru_cache(maxsize=None)

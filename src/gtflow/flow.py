@@ -257,51 +257,60 @@ def _narrow_order(targets) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _frontier_dp(targets, b, draw) -> int:
+def _frontier_dp(targets, b, draw, most_drawn) -> int:
     """Sum, over draws j and integer flows with netflow b + j, of the product
     of the draws' weights; v sends flow along its edge groups targets[v].
 
     Vertices are visited in _narrow_order; a state holds the flow committed
-    to each frontier vertex.  At v, draw(v, need, drawn) returns the
-    (j_v, weight) pairs to take, j_v >= need keeping v's supply nonnegative;
-    drawn, the j-mass of the visited vertices, is the frontier's flow minus
-    their b.  m parallel edges carry an amount a in comb(a + m - 1, m - 1)
-    ways; each step splits a supply value once.
+    to each frontier vertex and the j-mass drawn so far, at most most_drawn.
+    At v, draw(v, need, drawn) returns the (j_v, weight) pairs to take, j_v
+    >= need keeping v's supply nonnegative.  m parallel edges carry an amount
+    a in comb(a + m - 1, m - 1) ways; each step splits a supply value once.
+
+    A state is one int: slot i in bits [w*i, w*(i+1)), the drawn mass from
+    bit w * len(targets) on (a slot holds one vertex).  A vertex holds the
+    lowest free slot from when it joins the frontier, or is visited, until
+    its supply, parked there between the draw and the split, is split.  No
+    edge enters the visited set from outside, so the slots sum to the flow
+    in flight, the sum over the visited v of b_v + j_v <= (the sum of the
+    positive b) + most_drawn; with w the bit length of that bound no slot
+    carries into the next.
     """
-    frontier: tuple[int, ...] = ()
-    states: dict[tuple[int, ...], int] = {(): 1}
-    b_visited = 0
+    frontier: list[int | None] = []  # the vertex in each slot, None when free
+
+    def place(u: int) -> int:
+        if u not in frontier:
+            i = (frontier + [None]).index(None)
+            frontier[i : i + 1] = [u]
+        return frontier.index(u)
+
+    w = (sum(x for x in b if x > 0) + most_drawn).bit_length()
+    mask, top = (1 << w) - 1, w * len(targets)
+    states: dict[int, int] = {0: 1}
     for v in _narrow_order(targets):
-        tv = targets[v]
-        k = len(frontier)
-        p = frontier.index(v) if v in frontier else k
-        rest = frontier[:p] + frontier[p + 1 :]
-        frontier = rest + tuple(w for w, _ in tv if w not in rest)
-        pad = (0,) * (len(frontier) - len(rest))
-        pos = [frontier.index(w) for w, _ in tv]
-        drawn: dict[tuple[tuple[int, ...], int], int] = {}
+        p = place(v)
+        frontier[p] = None  # a target may take v's slot: v's supply leaves it before the split
+        tv, at, bv = targets[v], w * p, b[v]
+        units, ms = [1 << w * place(u) for u, _ in tv], [m - 1 for _, m in tv]
+        clear, shift, unit = ~(mask << at), bv << at, (1 << at) + (1 << top)
+        drawn: dict[int, int] = {}
         for state, count in states.items():
-            supply = (state[p] if p < k else 0) + b[v]
-            base = state[:p] + state[p + 1 :] + pad
-            for jv, weight in draw(v, -supply, sum(state) - b_visited):
-                key = (base, supply + jv)
+            for jv, weight in draw(v, -bv - (state >> at & mask), state >> top):
+                key = state + shift + jv * unit
                 drawn[key] = drawn.get(key, 0) + count * weight
-        b_visited += b[v]
-        splits: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        splits: dict[int, list[tuple[int, int]]] = {}
         states = {}
-        for (base, supply), count in drawn.items():
+        for key, count in drawn.items():
+            supply = key >> at & mask
             if supply not in splits:
-                splits[supply] = []
-                for comp in enumerate_compositions(supply, len(tv)):
-                    add, ways = [0] * len(frontier), 1
-                    for (_, m), i, amount in zip(tv, pos, comp):
-                        add[i] = amount
-                        ways *= math.comb(amount + m - 1, m - 1)
-                    splits[supply].append((tuple(add), ways))
+                splits[supply] = [
+                    (sum(map(operator.mul, c, units)), math.prod(map(math.comb, map(operator.add, c, ms), ms)))
+                    for c in enumerate_compositions(supply, len(tv))
+                ]
+            base = key & clear
             for add, ways in splits[supply]:
-                key = tuple(map(operator.add, base, add))
-                states[key] = states.get(key, 0) + count * ways
-    return states.get((), 0)
+                states[base + add] = states.get(base + add, 0) + count * ways
+    return sum(states.values())  # the frontier ends empty: at most one state
 
 
 def kostant(g: FlowNetwork, b=None) -> int:
@@ -315,7 +324,7 @@ def kostant(g: FlowNetwork, b=None) -> int:
         raise FlowError("netflow vector has wrong length")
     if sum(b) != 0:
         return 0
-    return _frontier_dp(_targets(g), b, lambda v, need, drawn: () if need > 0 else ((0, 1),))
+    return _frontier_dp(_targets(g), b, lambda v, need, drawn: () if need > 0 else ((0, 1),), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +360,15 @@ def _weighted_kostant(g: FlowNetwork, weight) -> int:
     sink = g.num_vertices - 1
     targets = tuple(tuple((w, m) for w, m in tv if w != sink) for tv in _targets(g)[:sink])
 
-    def draw(v, need, drawn):
-        rem = total - drawn
-        return [(jv, w) for jv in range(max(0, need), rem + 1) if (w := weight(v, jv, rem))]
+    @lru_cache(maxsize=None)  # within this pass: each (v, rem) weight list once
+    def weights(v, rem):
+        return [(jv, w) for jv in range(rem + 1) if (w := weight(v, jv, rem))]
 
-    return _frontier_dp(targets, [-g.out_shift(v) for v in range(sink)], draw)
+    def draw(v, need, drawn):
+        pairs = weights(v, total - drawn)
+        return pairs if need <= 0 else [pair for pair in pairs if pair[0] >= need]
+
+    return _frontier_dp(targets, [-g.out_shift(v) for v in range(sink)], draw, total)
 
 
 def lidskii_volume(g: FlowNetwork) -> Fraction:
@@ -441,7 +454,8 @@ def simplify(g: FlowNetwork):
                 alive[i] = False
     emap = [i for i in range(len(g.edges)) if alive[i]]
     live = {u for i in emap for u in g.edges[i]}
-    vmap = [v for v in range(g.num_vertices) if g.netflow[v] != 0 or v in live]
+    # with every netflow 0 every edge is forced to zero; vertex 0 stays to carry the zero flow
+    vmap = [v for v in range(g.num_vertices) if g.netflow[v] != 0 or v in live] or [0]
     vidx = {old: new for new, old in enumerate(vmap)}
     edges = [(vidx[g.edges[i][0]], vidx[g.edges[i][1]]) for i in emap]
     netflow = [g.netflow[v] for v in vmap]

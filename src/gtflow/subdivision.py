@@ -467,15 +467,15 @@ def _face_vertex(state: _CellState, face_id: str) -> tuple[int, Face]:
     return v, face
 
 
-def _steps(state: _CellState, face_id: str, tree: NoncrossingTree | None = None):
+def _steps(state: _CellState, face_id: str, v: int, face: Face, tree: NoncrossingTree | None = None):
     """The one cell step: replace the face by the linear extension paired
-    with a noncrossing tree, and reduce its dual vertex v_F by the tree.
+    with a noncrossing tree, and reduce its dual vertex v_F by the tree;
+    v and face are what _face_vertex(state, face_id) returns.
 
     Yields (child, old_to_new, pairs), with the map and the tree-edge pairs
     of the reduction, for the given tree or else for every tree at v_F, all
     reduced in one `compound_reductions` pass.
     """
-    v, face = _face_vertex(state, face_id)
     net = state.network
     if tree is None:
         trees = enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v))
@@ -513,7 +513,7 @@ def _cell_points(parent: _CellState, child: _CellState) -> tuple:
 
 def _expand_cell(state: _CellState, face_id: str) -> list[_CellState]:
     out = []
-    for child, _, _ in _steps(state, face_id):
+    for child, _, _ in _steps(state, face_id, *_face_vertex(state, face_id)):
         child.points = _cell_points(state, child)
         direct, _ = _simplified_dual_state(child.me)
         if _dual_signature(child) != _dual_signature(direct):
@@ -646,11 +646,11 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
     for f in enumerate_integer_flows(net, tuple(shifted)):
         state, values = root, f
         for face_id in plan:
-            v, _ = _face_vertex(state, face_id)
+            v, face = _face_vertex(state, face_id)
             if any(values[i] != 0 for i in state.network.out_edges(v)):
                 raise EmbeddingError("nonzero flow on an edge into the sink")
             tree = NoncrossingTree.from_composition(values[i] for i in state.network.in_edges(v))
-            state, old_to_new, pairs = next(_steps(state, face_id, tree))
+            state, old_to_new, pairs = next(_steps(state, face_id, v, face, tree))
             values = _carry(values, old_to_new, [0] * len(pairs))
         if any(values):
             raise EmbeddingError("leaf flow should vanish identically")

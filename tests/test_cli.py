@@ -144,6 +144,16 @@ def test_subdivide_dual_network_after_simplify(tmp_path, capsys):
     assert data["total_volume"] == "1"
 
 
+def test_subdivide_simplify_on_an_all_zero_network(tmp_path, capsys):
+    # every netflow is 0, so every edge is forced to zero: one cell, the zero flow
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "netflow": [0, 0]}))
+    code, out = run(capsys, "subdivide", "--network", str(f), "--simplify")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["leaves"]) == 1 and data["total_volume"] == "1"
+
+
 def test_gt_bijection_listing(capsys):
     code, out = run(capsys, "gt", "bijection", "1,0")
     assert code == 0

@@ -260,6 +260,22 @@ def test_walk_output_is_validated(monkeypatch):
         combinat.enumerate_shsyt.cache_clear()
 
 
+def test_walk_catches_a_cell_written_twice(monkeypatch):
+    # the second move writes the first move's cell again, so one cell of
+    # every leaf keeps a value that is not its own
+    moves = list(combinat._sub_staircase_moves(3))
+    [(_, first, t)] = moves[0]
+    (i, _, u), *rest = moves[t]
+    moves[t] = ((i, first, u), *rest)
+    monkeypatch.setattr(combinat, "_sub_staircase_moves", lambda n: tuple(moves))
+    combinat.enumerate_shsyt.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="must be a permutation"):
+            enumerate_shsyt(3)
+    finally:
+        combinat.enumerate_shsyt.cache_clear()
+
+
 def test_tableaux_are_compact_at_n6():
     import gc
     import tracemalloc
