@@ -1,7 +1,8 @@
 """Exact combinatorial primitives shared by every other module.
 
 Weak compositions, signed binomial coefficients, Ehrhart leading
-coefficients, the gap-vector volume sum, shifted standard Young tableaux of
+coefficients, the gap-vector volume sum, the counts of an order's marked
+linear extensions by gap vector, shifted standard Young tableaux of
 staircase shape, and semistandard tableau counts.
 All arithmetic is exact: Python ints and Fractions, no floats.
 """
@@ -105,6 +106,49 @@ def gap_volume(table: Mapping[tuple[int, ...], int], gaps) -> Fraction:
 def multiset_binomial(n: int, k: int) -> int:
     """<n over k> = binom(n + k - 1, k), polynomial-in-n convention."""
     return binomial(n + k - 1, k)
+
+
+# ---------------------------------------------------------------------------
+# linear extensions by gap vector of the marked elements
+
+
+def marked_extension_counts(items) -> Mapping[tuple[int, ...], int]:
+    """{a: N(a)} over the gap vectors a with a nonzero count, for the order
+    whose elements are the triples (bit, before, rank) in `items`: its own
+    bit, the int of the elements that must be placed before it, and its
+    place among the marked elements, None if it is unmarked.  N(a) is the
+    number of listings that place every element after its `before` ones and
+    the marked elements in rank order, with a_t unmarked elements between
+    the marked elements of ranks t and t + 1.
+
+    One forward pass places elements one at a time, keyed by (unplaced
+    elements, closed gaps, unmarked run since the last mark); a marked
+    element is placed only when its rank is the number of closed gaps.  The
+    first closed gap is the run before the rank-0 element and is dropped at
+    the end.  The elements each unplaced set can place next are found once
+    per call.  No listing is built.
+    """
+    placeable: dict[int, list[tuple[int, int | None]]] = {}
+    layer: dict[tuple[int, tuple[int, ...], int], int] = {(sum(b for b, _, _ in items), (), 0): 1}
+    for _ in items:
+        nxt: dict[tuple[int, tuple[int, ...], int], int] = {}
+        for (rest, gaps, run), c in layer.items():
+            moves = placeable.get(rest)
+            if moves is None:
+                moves = placeable[rest] = [(rest ^ b, r) for b, before, r in items if b & rest and not before & rest]
+            for t, r in moves:
+                if r is None:
+                    key = (t, gaps, run + 1)
+                elif r == len(gaps):
+                    key = (t, gaps + (run,), 0)
+                else:
+                    continue
+                nxt[key] = nxt.get(key, 0) + c
+        layer = nxt
+    table: dict[tuple[int, ...], int] = {}
+    for (_, gaps, _), c in layer.items():
+        table[gaps[1:]] = table.get(gaps[1:], 0) + c
+    return MappingProxyType(table)
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +261,19 @@ class ShiftedTableau:
 
 
 @lru_cache(maxsize=None)
-def _sub_staircase_moves(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Transition table of the lattice of shifted sub-staircases of side n.
-
-    A state is the tuple of row lengths (r_1, ..., r_n) of an order ideal of
-    the staircase: its nonzero parts strictly decrease and r_i <= n - i + 1,
-    so there are 2^n states, numbered from 0 = empty.  moves[s] lists
-    (row index, cell index, next state) for every addable cell of s in
-    row-major order: cell (i, i + r_i) is addable when it lies in the
-    staircase and the cell above it, (i - 1, i + r_i), is filled; its cell
-    index is its place in ShiftedTableau.entries.  Rows start in order, so a
-    move fills a diagonal cell exactly when its row index is the number of
-    nonempty rows of s.
-    """
-    starts = _staircase_layout(n * (n + 1) // 2).starts
-    index: dict[tuple[int, ...], int] = {}
-    moves: list[tuple[tuple[int, int, int], ...]] = []
-
-    def visit(state: tuple[int, ...]) -> int:
-        if state in index:
-            return index[state]
-        s = index[state] = len(moves)
-        moves.append(())
-        moves[s] = tuple(
-            (i, starts[i] + r, visit(state[:i] + (r + 1,) + state[i + 1 :]))
-            for i, r in enumerate(state)
-            if r < n - i and (i == 0 or state[i - 1] >= r + 2)
-        )
-        return s
-
-    visit((0,) * n)
-    return tuple(moves)
+def _staircase_order(n: int) -> tuple[tuple[int, int, int | None], ...]:
+    """The cells (i, j) of the side-n shifted staircase in row-major order
+    as the (bit, before, rank) triples of marked_extension_counts: cell k
+    has bit 1 << k, its place in ShiftedTableau.entries; before it come the
+    cells (k, l) with k <= i, l <= j, the cells smaller in every tableau;
+    the diagonal cell (i, i) is the marked one of rank i - 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bit = {c: 1 << k for k, c in enumerate(shifted_cells(n))}
+    return tuple(
+        (b, sum(bit[k, l] for k, l in bit if k <= i and l <= j) ^ b, i - 1 if i == j else None)
+        for (i, j), b in bit.items()
+    )
 
 
 def walk_shsyt(n: int, emit) -> None:
@@ -255,38 +281,45 @@ def walk_shsyt(n: int, emit) -> None:
     one at a time: nothing is held after emit returns.
 
     Values 1..N are placed in increasing order; at each step the addable
-    cells of the filled sub-staircase are tried row-major.  Every path from
-    the empty staircase to the full one writes each cell of one row-major
-    buffer once, so a leaf's buffer is its tableau.  A state with a single
-    addable cell forces its move, so each move is followed through the run
-    of forced moves after it, and the walk branches only where a state has
-    two or more.  A move into a state of k cells writes k, so a run is fixed
+    cells of the filled sub-staircase, the cells of _staircase_order whose
+    `before` cells are all filled, are tried row-major.  Every path from the
+    empty staircase to the full one writes each cell of one row-major buffer
+    once, so a leaf's buffer is its tableau.  A state with a single addable
+    cell forces its move, so each move is followed through the run of forced
+    moves after it, and the walk branches only where a state has two or
+    more.  A move into a state of k cells writes k, so a run is fixed
     (cell, value) pairs.  Each leaf passes ShiftedTableau's compiled check
     before it is made, or goes through the constructor, which raises.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    moves = _sub_staircase_moves(n)
-    total = n * (n + 1) // 2
+    order = _staircase_order(n)
+    total = len(order)
     check, buf = _staircase_layout(total).check, [0] * total
-    # states are numbered as they are first reached from 0, so each state's
-    # size is set before its own moves are read
-    size = [0] * len(moves)
-    for s, m in enumerate(moves):
-        for _, _, t in m:
-            size[t] = size[s] + 1
+
+    def moves(filled: int) -> list[tuple[int, int]]:
+        """(cell index, next state) for every addable cell of `filled`."""
+        return [
+            (k, filled | b) for k, (b, before, _) in enumerate(order) if not b & filled and before & filled == before
+        ]
 
     def forced_run(cell: int, t: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
         """The (cell, value) pairs written by the move into state t and the
         forced moves after it, in order, and the state where they stop, None
         when it is the full staircase."""
-        pairs = [(cell, size[t])]
-        while len(moves[t]) == 1:
-            [(_, cell, t)] = moves[t]
-            pairs.append((cell, size[t]))
-        return tuple(pairs), t if moves[t] else None
+        pairs = [(cell, t.bit_count())]
+        while len(m := moves(t)) == 1:
+            [(cell, t)] = m
+            pairs.append((cell, t.bit_count()))
+        return tuple(pairs), t if m else None
 
-    runs = [[forced_run(cell, t) for _, cell, t in m] for m in moves]
+    runs: dict[int, list] = {}
+
+    def visit(s: int) -> None:
+        runs[s] = [forced_run(cell, t) for cell, t in moves(s)]
+        for _, t in runs[s]:
+            if t is not None and t not in runs:
+                visit(t)
+
+    visit(0)
     new, set_field = object.__new__, object.__setattr__
 
     def rec(s: int) -> None:
@@ -334,31 +367,14 @@ def enumerate_shsyt_corner_oracle(n: int) -> int:
 @lru_cache(maxsize=None)
 def diagonal_counts(n: int) -> Mapping[tuple[int, ...], int]:
     """{b: number of side-n shSYT with diagonal T(i,i) = i + b_1 + ... + b_{i-1}}
-    over the b with a nonzero count.
-
-    One forward pass over the sub-staircase lattice, keyed by (state,
-    diagonal prefix): filling cell (i, i) with value v appends v to the
-    prefix, so the full staircase's prefix is its diagonal.  No tableau is
-    built.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    moves = _sub_staircase_moves(n)
-    layer: dict[tuple[int, tuple[int, ...]], int] = {(0, ()): 1}
-    for v in range(1, n * (n + 1) // 2 + 1):
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (s, diag), c in layer.items():
-            for i, _, t in moves[s]:
-                key = (t, diag + (v,) if i == len(diag) else diag)
-                nxt[key] = nxt.get(key, 0) + c
-        layer = nxt
-    return MappingProxyType(
-        {tuple(d[i + 1] - d[i] - 1 for i in range(n - 1)): c for (_, d), c in layer.items()}
-    )
+    over the b with a nonzero count: the marked extensions of the staircase."""
+    return marked_extension_counts(_staircase_order(n))
 
 
 def count_N(n: int, b) -> int:
     """Number of side-n shSYT with diagonal T(i,i) = i + b_1 + ... + b_{i-1}."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     b = as_weak_composition(b)
     if len(b) != n - 1:
         raise ValueError(f"b must have {n - 1} entries, got {len(b)}")

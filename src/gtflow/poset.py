@@ -21,9 +21,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
-from .combinat import enumerate_compositions, gap_volume
+from .combinat import enumerate_compositions, gap_volume, marked_extension_counts
 
 BOTTOM = "0hat"
 TOP = "1hat"
@@ -396,36 +395,14 @@ def extension_gap_counts(mp: MarkedPoset) -> Mapping[tuple[int, ...], int]:
     number of linear extensions listing the sorted marked elements in order
     with a_t unmarked elements between the t-th and the (t+1)-th.
 
-    One forward pass places elements largest first, keyed by (unplaced
-    elements, closed gaps, unmarked run since the last mark); a marked
-    element is placed only when it is the next one in sorted order.  The
-    first closed gap is the run before the first mark (0, as the maximal
-    elements are marked) and is dropped at the end.  No extension is built.
+    The kernel `marked_extension_counts` places elements largest first, so
+    the elements above one must be placed before it.  The first mark is a
+    maximal element, so the run before it, which the kernel drops, is 0.
     """
     mp.validate()
     p = mp.poset
     rank = {e: i for i, e in enumerate(mp.sorted_marked())}
-    items = [(b, p._above[e], rank.get(e)) for e, b in p._bit.items()]
-    layer: dict[tuple[int, tuple[int, ...], int], int] = {((1 << len(items)) - 1, (), 0): 1}
-    for _ in items:
-        nxt: dict[tuple[int, tuple[int, ...], int], int] = {}
-        for (rest, gaps, run), c in layer.items():
-            for b, above, r in items:
-                # maximal among the unplaced elements
-                if not b & rest or above & rest:
-                    continue
-                if r is None:
-                    key = (rest ^ b, gaps, run + 1)
-                elif r == len(gaps):
-                    key = (rest ^ b, gaps + (run,), 0)
-                else:
-                    continue
-                nxt[key] = nxt.get(key, 0) + c
-        layer = nxt
-    table: dict[tuple[int, ...], int] = {}
-    for (_, gaps, _), c in layer.items():
-        table[gaps[1:]] = table.get(gaps[1:], 0) + c
-    return MappingProxyType(table)
+    return marked_extension_counts([(b, p._above[e], rank.get(e)) for e, b in p._bit.items()])
 
 
 def count_marked_extensions(mp: MarkedPoset, a) -> int:

@@ -19,6 +19,7 @@ from gtflow.combinat import (
     leading_coefficient,
     multiset_binomial,
 )
+from gtflow.poset import extension_gap_counts
 
 
 def test_enumerate_compositions_examples():
@@ -246,28 +247,31 @@ def test_compiled_order_check_is_the_pairwise_rule():
 
 
 def test_walk_output_is_validated(monkeypatch):
-    moves = combinat._sub_staircase_moves(3)
-    s = next(s for s, m in enumerate(moves) if len(m) >= 2)
-    (i1, c1, t1), (i2, c2, t2) = moves[s][:2]
-    swapped = list(moves)
-    swapped[s] = ((i1, c2, t1), (i2, c1, t2)) + moves[s][2:]
-    monkeypatch.setattr(combinat, "_sub_staircase_moves", lambda n: tuple(swapped))
+    # cell (2,2) loses the column relation to (1,2) above it, so the walk
+    # also writes buffers that are permutations but not tableaux
+    order = list(combinat._staircase_order(3))
+    cells = combinat.shifted_cells(3)
+    k = cells.index((2, 2))
+    bit, before, rank = order[k]
+    order[k] = (bit, before & ~order[cells.index((1, 2))][0], rank)
+    monkeypatch.setattr(combinat, "_staircase_order", lambda n: tuple(order))
     combinat.enumerate_shsyt.cache_clear()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"column violation at \(1,2\)"):
             enumerate_shsyt(3)
     finally:
         combinat.enumerate_shsyt.cache_clear()
 
 
 def test_walk_catches_a_cell_written_twice(monkeypatch):
-    # the second move writes the first move's cell again, so one cell of
-    # every leaf keeps a value that is not its own
-    moves = list(combinat._sub_staircase_moves(3))
-    [(_, first, t)] = moves[0]
-    (i, _, u), *rest = moves[t]
-    moves[t] = ((i, first, u), *rest)
-    monkeypatch.setattr(combinat, "_sub_staircase_moves", lambda n: tuple(moves))
+    # cell (2,2) takes the bit of cell (1,3): placing either one sets that
+    # bit, so the other is never written and the cells after both are never
+    # placed; every leaf keeps values that are not its own
+    order = list(combinat._staircase_order(3))
+    cells = combinat.shifted_cells(3)
+    k = cells.index((2, 2))
+    order[k] = (order[cells.index((1, 3))][0], *order[k][1:])
+    monkeypatch.setattr(combinat, "_staircase_order", lambda n: tuple(order))
     combinat.enumerate_shsyt.cache_clear()
     try:
         with pytest.raises(ValueError, match="must be a permutation"):
@@ -358,6 +362,47 @@ def test_count_N_small():
     assert count_N(3, (2, 1)) == 1
     assert count_N(3, (1, 2)) == 1
     assert count_N(3, (1, 1)) == 0
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            count_N(n, ())
+    for b in [(), (1, 2)]:
+        with pytest.raises(ValueError, match=f"b must have 1 entries, got {len(b)}"):
+            count_N(2, b)
+
+
+def sub_staircase_diagonal_counts(n):
+    """The diagonal table by a DP of its own, the oracle of the
+    marked-extension kernel: one forward pass over the row-length tuples of
+    the sub-staircases, keyed by (state, diagonal prefix)."""
+    layer = {((0,) * n, ()): 1}
+    for v in range(1, n * (n + 1) // 2 + 1):
+        nxt = {}
+        for (state, diag), c in layer.items():
+            for i, r in enumerate(state):
+                # the next cell of row i + 1 is addable when it lies in the
+                # staircase and the cell above it is filled
+                if r < n - i and (i == 0 or state[i - 1] >= r + 2):
+                    key = (state[:i] + (r + 1,) + state[i + 1 :], diag + (v,) if r == 0 else diag)
+                    nxt[key] = nxt.get(key, 0) + c
+        layer = nxt
+    return {tuple(d[i + 1] - d[i] - 1 for i in range(n - 1)): c for (_, d), c in layer.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_staircase_table_is_the_sub_staircase_dp_and_the_gt_poset_table(n):
+    table = combinat.diagonal_counts(n)
+    assert dict(table) == sub_staircase_diagonal_counts(n)
+    # the GT poset's marked extensions by gap vector are the same table
+    assert extension_gap_counts(gt.gt_marked_poset(tuple(range(n - 1, -1, -1)))) == table
+
+
+def test_marked_extension_counts_places_incomparable_marks_in_rank_order():
+    # on the staircase and the GT poset the marks form a chain; here marks a
+    # and b are incomparable, u comes after a, and c after everything, so
+    # the listings are a u b c and a b u c
+    a, b, u, c = 1, 2, 4, 8
+    items = [(a, 0, 0), (b, 0, 1), (u, a, None), (c, a | b | u, 2)]
+    assert dict(combinat.marked_extension_counts(items)) == {(1, 0): 1, (0, 1): 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
