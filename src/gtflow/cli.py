@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 a checked identity failed, 2 bad input (one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -45,6 +46,8 @@ def _parse_bounds(s: str) -> dict:
         k = k.strip()
         if k not in DEFAULT_BOUNDS:
             raise ValueError(f"--bounds item {item!r}: no bound {k!r}; choose from {', '.join(DEFAULT_BOUNDS)}")
+        if k in out:
+            raise ValueError(f"--bounds item {item!r}: bound {k!r} is given twice")
         try:
             out[k] = int(v)
         except ValueError:
@@ -203,7 +206,10 @@ def cmd_bijection(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_verify(args.scope, _parse_bounds(args.bounds or ""), args.seed)
-    _emit(_dump_json(report), args.out)
+    # streamed: the report's text is never held whole
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(report, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return 0 if report["pass"] else 1
 
 

@@ -46,19 +46,20 @@ def enumerate_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     if parts == 0:
         return [()] if total == 0 else []
     out: list[tuple[int, ...]] = []
-    comp = [0] * parts
-
-    def rec(pos: int, remaining: int) -> None:
-        if pos == parts - 1:
-            comp[pos] = remaining
-            out.append(tuple(comp))
-            return
-        for v in range(remaining, -1, -1):
-            comp[pos] = v
-            rec(pos + 1, remaining - v)
-
-    rec(0, total)
+    _fill_compositions([0] * parts, 0, total, out)
     return out
+
+
+def _fill_compositions(comp: list[int], pos: int, remaining: int, out: list) -> None:
+    """Append to `out` every completion of comp[:pos] that puts `remaining`
+    into the parts from pos on, in enumerate_compositions' order."""
+    if pos == len(comp) - 1:
+        comp[pos] = remaining
+        out.append(tuple(comp))
+        return
+    for v in range(remaining, -1, -1):
+        comp[pos] = v
+        _fill_compositions(comp, pos + 1, remaining - v, out)
 
 
 def binomial(m: int, k: int) -> int:
@@ -169,10 +170,13 @@ class _Layout(NamedTuple):
     check: Callable  # entries -> whether they are a tableau of this layout
 
 
-def _compile_lambda(source: str) -> Callable:
-    """The lambda whose source is given, compiled once (the way namedtuple
-    builds its methods) so that it runs as one call; it sees no builtins."""
-    return eval(source, {"__builtins__": {}})
+def _compile(source: str, **names) -> Callable:
+    """The function f that `source` defines, compiled once (the way
+    namedtuple builds its methods) so that it runs as one call; it sees no
+    builtins, only `names`."""
+    namespace = {"__builtins__": {}, **names}
+    exec(source, namespace)
+    return namespace["f"]
 
 
 def _compile_check(n: int, starts: tuple[int, ...]) -> Callable:
@@ -183,9 +187,8 @@ def _compile_check(n: int, starts: tuple[int, ...]) -> Callable:
     columns = [f"a{starts[i] + k + 1} < a{starts[i + 1] + k}" for i in range(n - 1) for k in range(n - i - 1)]
     names = "".join(f"a{k}, " for k in range(starts[n]))
     order = " and ".join(rows + columns) or "True"
-    namespace = {"__builtins__": {}, "sorted": sorted, "values": list(range(1, starts[n] + 1))}
-    exec(f"def check(e):\n    {names}= e\n    return sorted(e) == values and {order}\n", namespace)
-    return namespace["check"]
+    source = f"def f(e):\n    {names}= e\n    return sorted(e) == values and {order}\n"
+    return _compile(source, sorted=sorted, values=list(range(1, starts[n] + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -393,19 +396,20 @@ def count_ssyt(shape, alphabet: int) -> int:
     cells = [
         (r, c, alphabet + r + 1 - sum(q > c for q in shape)) for r, p in enumerate(shape) for c in range(p)
     ]
-    rows = [[0] * p for p in shape]
+    return _fill_ssyt(cells, [[0] * p for p in shape], 0)
 
-    def rec(k: int) -> int:
-        if k == len(cells):
-            return 1
-        r, c, hi = cells[k]
-        lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
-        if k == len(cells) - 1:  # the last cell takes any value from lo to hi
-            return max(hi + 1 - lo, 0)
-        total = 0
-        for v in range(lo, hi + 1):
-            rows[r][c] = v
-            total += rec(k + 1)
-        return total
 
-    return rec(0)
+def _fill_ssyt(cells: list[tuple[int, int, int]], rows: list[list[int]], k: int) -> int:
+    """The number of ways to fill cells[k:] given the entries of cells[:k]
+    in `rows`."""
+    if k == len(cells):
+        return 1
+    r, c, hi = cells[k]
+    lo = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+    if k == len(cells) - 1:  # the last cell takes any value from lo to hi
+        return max(hi + 1 - lo, 0)
+    total = 0
+    for v in range(lo, hi + 1):
+        rows[r][c] = v
+        total += _fill_ssyt(cells, rows, k + 1)
+    return total

@@ -194,33 +194,42 @@ def enumerate_integer_flows(g: FlowNetwork, b=None) -> list[tuple[int, ...]]:
         raise FlowError("netflow vector has wrong length")
     if sum(b) != 0:
         return []
+    outs = [g.out_edges(v) for v in range(g.num_vertices)]
+    heads = [[g.edges[i][1] for i in out] for out in outs]
     flows: list[tuple[int, ...]] = []
-    values = [0] * len(g.edges)
-    inflow = [0] * g.num_vertices
-
-    def rec(v: int):
-        if v == g.num_vertices:
-            flows.append(tuple(values))
-            return
-        supply = inflow[v] + b[v]
-        if supply < 0:
-            return
-        out = g.out_edges(v)
-        if not out:
-            if supply == 0:
-                rec(v + 1)
-            return
-        for comp in enumerate_compositions(supply, len(out)):
-            for idx, amount in zip(out, comp):
-                values[idx] = amount
-                inflow[g.edges[idx][1]] += amount
-            rec(v + 1)
-            for idx, amount in zip(out, comp):
-                values[idx] = 0
-                inflow[g.edges[idx][1]] -= amount
-
-    rec(0)
+    _assign_flows(0, b, outs, heads, [0] * len(g.edges), [0] * g.num_vertices, {}, flows)
     return flows
+
+
+def _assign_flows(v, b, outs, heads, values, inflow, splits, flows) -> None:
+    """Append to `flows` every completion of the flow in `values`, set on
+    the out-edges of the vertices before v, that splits each later vertex's
+    supply over its out-edges `outs` (their heads `heads`) in composition
+    order.  `splits` holds the compositions of each (supply, outdegree) met
+    so far.  An edge's value is read only after its tail set it on the
+    current path, so none is reset."""
+    if v == len(b):
+        flows.append(tuple(values))
+        return
+    supply = inflow[v] + b[v]
+    if supply < 0:
+        return
+    out = outs[v]
+    if not out:
+        if supply == 0:
+            _assign_flows(v + 1, b, outs, heads, values, inflow, splits, flows)
+        return
+    split = splits.get((supply, len(out)))
+    if split is None:
+        split = splits[supply, len(out)] = enumerate_compositions(supply, len(out))
+    hv = heads[v]
+    for comp in split:
+        for idx, w, amount in zip(out, hv, comp):
+            values[idx] = amount
+            inflow[w] += amount
+        _assign_flows(v + 1, b, outs, heads, values, inflow, splits, flows)
+        for w, amount in zip(hv, comp):
+            inflow[w] -= amount
 
 
 def _targets(g: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -235,7 +244,6 @@ def _targets(g: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(targets)
 
 
-@lru_cache(maxsize=1024)  # one network often gets many DPs: the Lidskii routes, netflow loops
 def _narrow_order(targets) -> tuple[int, ...]:
     """A topological order of the vertices of `targets` that keeps the
     frontier (unvisited vertices with a visited in-neighbour) narrow: each
@@ -257,6 +265,30 @@ def _narrow_order(targets) -> tuple[int, ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=1024)  # one network shape often gets many DPs: the Lidskii routes, netflow loops
+def _plan(targets) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...] | None], ...]:
+    """The steps of _frontier_dp over `targets`: per vertex v in
+    _narrow_order, (v, v's slot, its targets' slots, the m - 1 of each
+    target, None when every m is 1).  A vertex takes the lowest free slot
+    when it first appears, as v or as a target, and frees it when visited,
+    before its targets are placed."""
+    frontier: list[int | None] = []  # the vertex in each slot, None when free
+
+    def place(u: int) -> int:
+        if u not in frontier:
+            i = (frontier + [None]).index(None)
+            frontier[i : i + 1] = [u]
+        return frontier.index(u)
+
+    steps = []
+    for v in _narrow_order(targets):
+        p = place(v)
+        frontier[p] = None  # a target may take v's slot: v's supply leaves it before the split
+        ms = tuple(m - 1 for _, m in targets[v])
+        steps.append((v, p, tuple(place(u) for u, _ in targets[v]), ms if any(ms) else None))
+    return tuple(steps)
+
+
 def _frontier_dp(targets, b, draw, most_drawn) -> int:
     """Sum, over draws j and integer flows with netflow b + j, of the product
     of the draws' weights; v sends flow along its edge groups targets[v].
@@ -274,24 +306,15 @@ def _frontier_dp(targets, b, draw, most_drawn) -> int:
     edge enters the visited set from outside, so the slots sum to the flow
     in flight, the sum over the visited v of b_v + j_v <= (the sum of the
     positive b) + most_drawn; with w the bit length of that bound no slot
-    carries into the next.
+    carries into the next.  The slots come from _plan, once per shape of
+    targets.
     """
-    frontier: list[int | None] = []  # the vertex in each slot, None when free
-
-    def place(u: int) -> int:
-        if u not in frontier:
-            i = (frontier + [None]).index(None)
-            frontier[i : i + 1] = [u]
-        return frontier.index(u)
-
     w = (sum(x for x in b if x > 0) + most_drawn).bit_length()
     mask, top = (1 << w) - 1, w * len(targets)
     states: dict[int, int] = {0: 1}
-    for v in _narrow_order(targets):
-        p = place(v)
-        frontier[p] = None  # a target may take v's slot: v's supply leaves it before the split
-        tv, at, bv = targets[v], w * p, b[v]
-        units, ms = [1 << w * place(u) for u, _ in tv], [m - 1 for _, m in tv]
+    for v, p, slots, ms in _plan(targets):
+        at, bv = w * p, b[v]
+        units = [1 << w * slot for slot in slots]
         clear, shift, unit = ~(mask << at), bv << at, (1 << at) + (1 << top)
         drawn: dict[int, int] = {}
         for state, count in states.items():
@@ -302,13 +325,17 @@ def _frontier_dp(targets, b, draw, most_drawn) -> int:
         states = {}
         for key, count in drawn.items():
             supply = key >> at & mask
-            if supply not in splits:
-                splits[supply] = [
-                    (sum(map(operator.mul, c, units)), math.prod(map(math.comb, map(operator.add, c, ms), ms)))
-                    for c in enumerate_compositions(supply, len(tv))
+            split = splits.get(supply)
+            if split is None:
+                split = splits[supply] = [
+                    (
+                        sum(map(operator.mul, c, units)),
+                        1 if ms is None else math.prod(map(math.comb, map(operator.add, c, ms), ms)),
+                    )
+                    for c in enumerate_compositions(supply, len(units))
                 ]
             base = key & clear
-            for add, ways in splits[supply]:
+            for add, ways in split:
                 states[base + add] = states.get(base + add, 0) + count * ways
     return sum(states.values())  # the frontier ends empty: at most one state
 

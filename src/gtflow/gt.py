@@ -13,10 +13,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, NamedTuple
 
-from .combinat import ShiftedTableau, _compile_lambda, as_partition, diagonal_counts, gap_volume, shifted_cells
+from .combinat import ShiftedTableau, _compile, as_partition, diagonal_counts, gap_volume, shifted_cells
 from .flow import FlowNetwork, lidskii_points_binomial, lidskii_volume
 from .poset import MarkedPoset, Poset
 from .transform import BOTTOM, SENTINEL, TOP, Face, MarkedEmbedding
@@ -33,6 +33,8 @@ class GTPattern:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if _pattern_check(len(self.rows))(self.rows):
+            return
         n = len(self.rows)
         if any(len(self.rows[i]) != n - i for i in range(n)):
             raise ValueError("rows must have lengths n, n-1, ..., 1")
@@ -54,36 +56,43 @@ class GTPattern:
         return self.rows[0]
 
 
+@lru_cache(maxsize=None)
+def _pattern_check(n: int) -> Callable:
+    """rows -> whether they pass GTPattern's checks, for n rows, as one
+    compiled call: the row lengths, then per row i >= 2 one interlacing
+    chain x_{i-1,i-1} >= x_{ii} >= x_{i-1,i} >= ... >= x_{in} >= x_{i-1,n},
+    then x_{1n} >= 0.  The chains make the top row weakly decreasing and
+    every column weakly increasing downwards, so every entry is at least
+    x_{1n} and that one comparison makes them all nonnegative."""
+    x = [[f"x{i}_{j}" for j in range(i, n + 1)] for i in range(1, n + 1)]
+    rows = "".join(f"r{i}, " for i in range(n))
+    lengths = "".join(f"len(r{i}), " for i in range(n))
+    unpack = "".join(f"    {''.join(v + ', ' for v in row)}= r{i}\n" for i, row in enumerate(x))
+    chains = [
+        " >= ".join(v for pair in zip(x[i - 1], x[i]) for v in pair) + f" >= {x[i - 1][-1]}" for i in range(1, n)
+    ]
+    tests = " and ".join(chains + [f"{x[0][-1]} >= 0"] if n else ["True"])
+    source = (
+        f"def f(rows):\n    ({rows}) = rows\n    if ({lengths}) != {tuple(range(n, 0, -1))}:\n        return False\n"
+        f"{unpack}    return {tests}\n"
+    )
+    return _compile(source, len=len)
+
+
 def enumerate_gt_points(lam) -> list[GTPattern]:
-    """All integral patterns with top row lam, by row-wise backtracking."""
+    """All integral patterns with top row lam, row by row: each pattern's
+    rows so far are extended by every row that interlaces with its last
+    one, leftmost entry slowest, so the patterns come out in lexicographic
+    order of their rows."""
     lam = as_partition(lam)
-    n = len(lam)
-    rows: list[tuple[int, ...]] = [lam]
-    out: list[GTPattern] = []
-
-    def rec(i: int):
-        if i > n:
-            out.append(GTPattern(tuple(rows)))
-            return
-        prev = rows[-1]
-
-        def fill(row: list[int], j: int):
-            if j > n:
-                rows.append(tuple(row))
-                rec(i + 1)
-                rows.pop()
-                return
-            hi = prev[j - i]  # x_{i-1,j-1}
-            lo = prev[j - i + 1]  # x_{i-1,j}
-            for v in range(lo, hi + 1):
-                row.append(v)
-                fill(row, j + 1)
-                row.pop()
-
-        fill([], i)
-
-    rec(2)
-    return out
+    patterns: list[tuple[tuple[int, ...], ...]] = [(lam,)]
+    for _ in range(len(lam) - 1):
+        patterns = [
+            (*rows, row)
+            for rows in patterns
+            for row in product(*(range(lo, hi + 1) for hi, lo in zip(rows[-1], rows[-1][1:])))
+        ]
+    return [GTPattern(rows) for rows in patterns]
 
 
 def weyl_dimension(lam) -> int:
@@ -270,7 +279,7 @@ def flow_to_gt(lam, flow) -> GTPattern:
 
 def _compile_tuple(arg: str, items: list[str]) -> Callable:
     """arg -> the tuple of the expressions in items, as one compiled call."""
-    return _compile_lambda(f"lambda {arg}: ({''.join(x + ', ' for x in items)})")
+    return _compile(f"def f({arg}):\n    return ({''.join(x + ', ' for x in items)})\n")
 
 
 class _TableauFlowMaps(NamedTuple):

@@ -143,17 +143,19 @@ class Poset:
         return tuple(e for e in self._bit if not self._below[e])
 
     def count_linear_extensions(self) -> int:
+        """Number of linear extensions, by one forward pass over the sets
+        of unplaced elements, largest element first: an element can be
+        placed once every element above it is."""
         items = [(b, self._above[e]) for e, b in self._bit.items()]
-        memo: dict[int, int] = {0: 1}
-
-        def count(remaining: int) -> int:
-            if remaining not in memo:
-                memo[remaining] = sum(
-                    count(remaining ^ b) for b, above in items if b & remaining and not above & remaining
-                )
-            return memo[remaining]
-
-        return count((1 << len(items)) - 1)
+        layer = {(1 << len(items)) - 1: 1}
+        for _ in items:
+            nxt: dict[int, int] = {}
+            for rest, c in layer.items():
+                for b, above in items:
+                    if b & rest and not above & rest:
+                        nxt[rest ^ b] = nxt.get(rest ^ b, 0) + c
+            layer = nxt
+        return layer.get(0, 0)
 
     def with_relations(self, pairs) -> "Poset":
         """New poset with extra relations (p below q), transitively reduced.
@@ -191,24 +193,9 @@ class Poset:
         """Number of order-preserving maps P -> {0, ..., m}."""
         if m < 0:
             raise ValueError("m must be >= 0")
-        count = 0
-        order = self.topo_order
-        vals: dict[str, int] = {}
-
-        def rec(idx: int):
-            nonlocal count
-            if idx == len(order):
-                count += 1
-                return
-            e = order[idx]
-            lo = max((vals[d] for d in self.down_covers(e)), default=0)
-            for v in range(lo, m + 1):
-                vals[e] = v
-                rec(idx + 1)
-            vals.pop(e, None)
-
-        rec(0)
-        return count
+        at = {e: i for i, e in enumerate(self.topo_order)}
+        downs = [[at[d] for d in self.down_covers(e)] for e in self.topo_order]
+        return _count_order_maps(downs, [0] * len(downs), 0, m)
 
     def to_json(self) -> dict:
         return {"elements": list(self.elements), "covers": [list(c) for c in self.covers]}
@@ -219,6 +206,20 @@ class Poset:
             if not isinstance(data, dict) or key not in data:
                 raise PosetError(f"poset JSON has no {key!r} key")
         return Poset.from_covers(data["elements"], [tuple(c) for c in data["covers"]])
+
+
+def _count_order_maps(downs: list[list[int]], vals: list[int], idx: int, m: int) -> int:
+    """The number of ways to give the elements idx, idx + 1, ... of a
+    topological order values in 0..m, each at least the values of its down
+    covers `downs` (by index), given the values `vals` of the ones before."""
+    if idx == len(downs):
+        return 1
+    lo = max(map(vals.__getitem__, downs[idx]), default=0)
+    count = 0
+    for v in range(lo, m + 1):
+        vals[idx] = v
+        count += _count_order_maps(downs, vals, idx + 1, m)
+    return count
 
 
 def _parse_rational(s) -> Fraction:
@@ -334,32 +335,34 @@ def _order_search(p: Poset, marks: dict, candidates) -> list[dict]:
     hi the smallest mark above.  Every extremal element must be marked
     (`MarkedPoset.validate`), so an unmarked element has a down cover."""
     order = p.topo_order
-    downs = [p.down_covers(e) for e in order]
     upper = {}
     for e in reversed(order):
         upper[e] = marks[e] if e in marks else min(upper[q] for q in p.up_covers(e))
+    steps = [(e, p.down_covers(e), marks.get(e), upper[e]) for e in order]
     points: list[dict] = []
-    vals = {}
-
-    def rec(idx: int):
-        if idx == len(order):
-            points.append(dict(vals))
-            return
-        e = order[idx]
-        lo = max((vals[d] for d in downs[idx]), default=None)
-        if e in marks:
-            if lo is not None and lo > marks[e]:
-                return
-            choices = (marks[e],)
-        else:
-            choices = candidates(lo, upper[e])
-        for v in choices:
-            vals[e] = v
-            rec(idx + 1)
-        vals.pop(e, None)
-
-    rec(0)
+    _search_points(steps, 0, {}, candidates, points)
     return points
+
+
+def _search_points(steps, idx: int, vals: dict, candidates, points: list) -> None:
+    """Append to `points` every completion of `vals`, the values of the
+    elements of steps[:idx]; a step is (element, its down covers, its mark
+    or None, the smallest mark above it)."""
+    if idx == len(steps):
+        points.append(dict(vals))
+        return
+    e, downs, mark, hi = steps[idx]
+    lo = max(map(vals.__getitem__, downs), default=None)
+    if mark is not None:
+        if lo is not None and lo > mark:
+            return
+        choices = (mark,)
+    else:
+        choices = candidates(lo, hi)
+    for v in choices:
+        vals[e] = v
+        _search_points(steps, idx + 1, vals, candidates, points)
+    vals.pop(e, None)
 
 
 def lattice_points(mp: MarkedPoset) -> list[dict[str, int]]:
@@ -444,7 +447,8 @@ def point_partition(mp: MarkedPoset, x: dict) -> list[frozenset]:
         return e
 
     for p, q in mp.poset.covers:
-        if Fraction(x[p]) == Fraction(x[q]):
+        a, b = x[p], x[q]
+        if a == b if type(a) is int is type(b) else Fraction(a) == Fraction(b):
             parent[find(p)] = find(q)
     blocks: dict[str, set] = {}
     for e in mp.poset.elements:
@@ -463,13 +467,31 @@ def enumerate_vertices(mp: MarkedPoset) -> list[dict]:
     """All vertices, by their unmarked values in element order.  Each block
     of a vertex's point partition holds a marked element (Pegel, Order 2018),
     so a vertex takes marking values only: the order search runs over the
-    marking values in each interval and keeps the points that pass `is_vertex`."""
+    marking values in each interval and keeps the points that pass `is_vertex`.
+    The search runs on ints, the marking scaled by its common denominator,
+    which maps vertices to vertices; each value found is a scaled marking
+    value and is mapped back to that marking value."""
     mp.validate()
     lam = mp.marking
-    values = sorted(set(lam.values()))
-    unmarked = [e for e in mp.poset.elements if e not in lam]
-    points = _order_search(mp.poset, lam, lambda lo, hi: values[bisect_left(values, lo) : bisect_right(values, hi)])
-    return sorted((x for x in points if is_vertex(mp, x)), key=lambda x: [x[e] for e in unmarked])
+    den = math.lcm(*(v.denominator for v in lam.values()))
+    marks = {a: int(v * den) for a, v in lam.items()}
+    value_of = {marks[a]: v for a, v in lam.items()}
+    values = sorted(value_of)
+    unmarked = [e for e in mp.poset.elements if e not in marks]
+    points = _order_search(mp.poset, marks, lambda lo, hi: values[bisect_left(values, lo) : bisect_right(values, hi)])
+    scaled = mp.with_marking(marks)
+    vertices = sorted((x for x in points if is_vertex(scaled, x)), key=lambda x: [x[e] for e in unmarked])
+    return [{e: value_of[v] for e, v in x.items()} for x in vertices]
+
+
+def _below(bits, n: int, k: int) -> int:
+    """A uniform draw from range(n), k = n.bit_length(), by rejection on
+    k random bits from `bits`: the draw random.Random.randint(a, a + n - 1)
+    makes, minus a."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def check_minkowski(mp: MarkedPoset, lam: dict, mu: dict, trials: int = 100, seed: int = 0) -> bool:
@@ -480,23 +502,20 @@ def check_minkowski(mp: MarkedPoset, lam: dict, mu: dict, trials: int = 100, see
     both = {a: _parse_rational(lam[a]) + _parse_rational(mu[a]) for a in lam}
     mp_b = mp.with_marking(both)
     els = mp.poset.elements
-    verts = [
-        [tuple(Fraction(v[e]) for e in els) for v in enumerate_vertices(m)]
-        for m in (mp_l, mp_m, mp_b)
-    ]
+    verts = [[tuple(v[e] for e in els) for v in enumerate_vertices(m)] for m in (mp_l, mp_m, mp_b)]
     # one common denominator D turns every vertex into an int tuple; scaling
     # all supports by the same positive factor keeps the comparison exact
     den = math.lcm(*(x.denominator for vs in verts for v in vs for x in v))
-    vl, vm, vb = ([tuple(int(x * den) for x in v) for v in vs] for vs in verts)
-    rng = random.Random(seed)
+    vl, vm, vb = ([tuple(x.numerator * (den // x.denominator) for x in v) for v in vs] for vs in verts)
+    bits = random.Random(seed).getrandbits
 
     def support(vertices, c):
         return max(sum(map(operator.mul, c, v)) for v in vertices)
 
     for _ in range(trials):
-        # the objective is num/d per element, d in 1..7, scaled to an int by
-        # 420 = lcm(1..7)
-        c = [rng.randint(-30, 30) * 420 // rng.randint(1, 7) for _ in els]
+        # the objective is num/d per element, num in -30..30 and d in 1..7,
+        # scaled to an int by 420 = lcm(1..7)
+        c = [(_below(bits, 61, 6) - 30) * 420 // (_below(bits, 7, 3) + 1) for _ in els]
         if support(vb, c) != support(vl, c) + support(vm, c):
             return False
     return True

@@ -323,6 +323,13 @@ def test_unknown_bound_gives_one_line_and_exit_2(capsys):
     )
 
 
+def test_repeated_bound_gives_one_line_and_exit_2(capsys):
+    assert main(["verify", "--bounds", "n=2,n=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gtflow: --bounds item 'n=3': bound 'n' is given twice\n"
+
+
 def test_malformed_bound_gives_one_line_and_exit_2(capsys):
     for item in ("n", "n=two"):
         assert main(["verify", "--bounds", item]) == 2

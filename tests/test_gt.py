@@ -5,6 +5,7 @@ from gtflow import flow, gt
 from gtflow.combinat import ShiftedTableau, count_N, count_ssyt, enumerate_compositions, enumerate_shsyt
 from gtflow.flow import enumerate_integer_flows, kostant, lidskii_points_binomial, lidskii_volume
 from gtflow.gt import (
+    GTPattern,
     build_G_lambda,
     enumerate_gt_points,
     flow_to_gt,
@@ -67,6 +68,87 @@ def test_enumerate_gt_points_examples():
     assert len(enumerate_gt_points((2, 1, 0))) == 8
     assert len(enumerate_gt_points((0, 0, 0))) == 1
     assert len(enumerate_gt_points((1, 0))) == 2
+
+
+def _loop_pattern_error(rows):
+    """Reference for GTPattern's compiled check: the loop it replaced, which
+    returns the first error's message, or None for a pattern."""
+    n = len(rows)
+    if any(len(rows[i]) != n - i for i in range(n)):
+        return "rows must have lengths n, n-1, ..., 1"
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            if not rows[i - 2][j - i] >= rows[i - 1][j - i] >= rows[i - 2][j - i + 1]:
+                return f"interlacing fails at ({i},{j})"
+    if any(v < 0 for row in rows for v in row):
+        return "entries must be nonnegative"
+    return None
+
+
+def _backtracked_gt_points(lam):
+    """Reference for enumerate_gt_points: the row-wise backtracking it
+    replaced, as row tuples."""
+    n = len(lam)
+    rows, out = [tuple(lam)], []
+
+    def rec(i):
+        if i > n:
+            out.append(tuple(rows))
+            return
+        prev = rows[-1]
+
+        def fill(row, j):
+            if j > n:
+                rows.append(tuple(row))
+                rec(i + 1)
+                rows.pop()
+                return
+            for v in range(prev[j - i + 1], prev[j - i] + 1):
+                row.append(v)
+                fill(row, j + 1)
+                row.pop()
+
+        fill([], i)
+
+    rec(2)
+    return out
+
+
+def _one_entry_changes(rows):
+    """rows with one entry moved by +-1 or made negative, or one row made
+    one entry longer or shorter."""
+    for i, row in enumerate(rows):
+        for k, v in enumerate(row):
+            for w in (v - 1, v + 1, -1):
+                yield (*rows[:i], (*row[:k], w, *row[k + 1 :]), *rows[i + 1 :])
+        yield (*rows[:i], (*row, 0), *rows[i + 1 :])
+        yield (*rows[:i], row[:-1], *rows[i + 1 :])
+
+
+def test_compiled_pattern_check_is_the_loop():
+    # every pattern with top row length n <= 4 and entries <= 3, and every
+    # one-entry change of it: accepted alike, or rejected with one message
+    cases = [()]
+    for lam in all_partitions(4, 3):
+        for rows in _backtracked_gt_points(lam):
+            cases.append(rows)
+            cases.extend(_one_entry_changes(rows))
+    rejected = 0
+    for rows in cases:
+        want = _loop_pattern_error(rows)
+        if want is None:
+            assert GTPattern(rows).rows == rows
+        else:
+            rejected += 1
+            with pytest.raises(ValueError) as exc:
+                GTPattern(rows)
+            assert str(exc.value) == want, rows
+    assert 0 < rejected < len(cases)
+
+
+def test_enumerate_gt_points_is_the_backtracking():
+    for lam in [*all_partitions(4, 3), (5, 3, 2, 0, 0)]:
+        assert [p.rows for p in enumerate_gt_points(lam)] == _backtracked_gt_points(lam)
 
 
 def test_weyl_dimension_examples():

@@ -1,10 +1,13 @@
 """Rules that hold for the library source as a whole."""
 
 import ast
+import gc
+import types
 from collections import Counter
 from pathlib import Path
 
 import gtflow
+from gtflow import combinat, flow, gt, poset
 
 
 def _library_nodes():
@@ -138,3 +141,43 @@ def test_every_default_is_set_by_a_caller():
             if not any(_callee(c) == node.name and _passes(c, index, name) for c in calls):
                 unset.append(f"{qualified}({name})")
     assert unset == [], "\n".join(unset)
+
+
+def _kernel_calls():
+    """The recursive kernels, each on a small input."""
+    chain = poset.Poset.from_covers(["a", "m", "c"], [("a", "m"), ("m", "c")])
+    mp = poset.MarkedPoset.make(chain, {"a": 0, "c": 2})
+    net = gt.build_G_lambda((2, 1, 0)).network
+    return [
+        lambda: combinat.enumerate_compositions(3, 3),
+        lambda: combinat.count_ssyt((2, 1), 3),
+        lambda: flow.enumerate_integer_flows(net),
+        lambda: gt.enumerate_gt_points((2, 1, 0)),
+        lambda: poset.lattice_points(mp),
+        lambda: poset.enumerate_vertices(mp),
+        lambda: chain.order_polynomial(2),
+        lambda: chain.count_linear_extensions(),
+    ]
+
+
+def test_kernels_leave_no_reference_cycle():
+    # a call leaves nothing that only the cyclic collector frees, such as
+    # a closure that calls itself
+    calls = _kernel_calls()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for call in calls:
+            call()
+        gc.collect()
+        found = sorted(
+            {o.__qualname__ for o in gc.garbage if isinstance(o, types.FunctionType) and o.__module__.startswith("gtflow")}
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == []

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtflow.combinat import enumerate_shsyt_corner_oracle
-from gtflow.gt import gt_embedding, gt_volume_product
+from gtflow.gt import gt_embedding, gt_marked_poset, gt_volume_product
 from gtflow.poset import (
     MarkedPoset,
     Poset,
@@ -238,6 +239,70 @@ def vertex_cases():
 @pytest.mark.parametrize("mp", [pytest.param(mp, id=name) for name, mp in vertex_cases()])
 def test_enumerate_vertices_matches_the_product_oracle(mp):
     assert enumerate_vertices(mp) == product_vertices(mp)
+
+
+def _fraction_vertices(mp):
+    """Reference for enumerate_vertices: the search it replaced, on the
+    Fraction marking, whose points is_vertex tests with a Fraction
+    comparison per cover."""
+    lam = mp.marking
+    p = mp.poset
+    values = sorted(set(lam.values()))
+    upper = {}
+    for e in reversed(p.topo_order):
+        upper[e] = lam[e] if e in lam else min(upper[q] for q in p.up_covers(e))
+    points, vals = [], {}
+
+    def rec(idx):
+        if idx == len(p.topo_order):
+            points.append(dict(vals))
+            return
+        e = p.topo_order[idx]
+        lo = max((vals[d] for d in p.down_covers(e)), default=None)
+        if e in lam:
+            choices = () if lo is not None and lo > lam[e] else (lam[e],)
+        else:
+            choices = [v for v in values if lo <= v <= upper[e]]
+        for v in choices:
+            vals[e] = v
+            rec(idx + 1)
+        vals.pop(e, None)
+
+    rec(0)
+    unmarked = [e for e in p.elements if e not in lam]
+    return sorted((x for x in points if is_vertex(mp, x)), key=lambda x: [x[e] for e in unmarked])
+
+
+def _fractional_cases():
+    for name, me in corpus.embeddings():
+        yield name, me.mp
+    yield "diamond-to-1/2", MarkedPoset.make(DIAMOND, {"bot": 0, "top": Fraction(1, 2)})
+    yield "chain-thirds", MarkedPoset.make(CHAIN3, {"a": Fraction(-1, 3), "c": Fraction(5, 3)})
+    # GT posets with top rows of mixed denominators 2 and 3
+    for lam in [(Fraction(3, 2), Fraction(2, 3), 0), (Fraction(5, 2), Fraction(5, 3), Fraction(1, 2), Fraction(-1, 3))]:
+        mp = gt_marked_poset((0,) * len(lam))
+        yield f"gt:{','.join(map(str, lam))}", mp.with_marking({e: lam[i] for i, e in enumerate(mp.sorted_marked())})
+
+
+@pytest.mark.parametrize("mp", [pytest.param(mp, id=name) for name, mp in _fractional_cases()])
+def test_int_vertex_search_is_the_fraction_search(mp):
+    got = enumerate_vertices(mp)
+    want = _fraction_vertices(mp)
+    assert got == want
+    # the same keys in the same order, every value a Fraction
+    assert [list(x) for x in got] == [list(x) for x in want]
+    assert all(type(v) is Fraction for x in got for v in x.values())
+
+
+def test_objective_draws_are_randint_draws():
+    # check_minkowski draws with poset._below on getrandbits; it must make
+    # exactly the draws of Random.randint from the same seed
+    for seed in range(20):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            assert poset._below(ours.getrandbits, 61, 6) - 30 == ref.randint(-30, 30)
+            assert poset._below(ours.getrandbits, 7, 3) + 1 == ref.randint(1, 7)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_check_minkowski_at_gt_n5():
