@@ -266,12 +266,12 @@ def _narrow_order(targets) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1024)  # one network shape often gets many DPs: the Lidskii routes, netflow loops
-def _plan(targets) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...] | None], ...]:
+def _plan(targets) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
     """The steps of _frontier_dp over `targets`: per vertex v in
     _narrow_order, (v, v's slot, its targets' slots, the m - 1 of each
-    target, None when every m is 1).  A vertex takes the lowest free slot
-    when it first appears, as v or as a target, and frees it when visited,
-    before its targets are placed."""
+    target).  A vertex takes the lowest free slot when it first appears, as
+    v or as a target, and frees it when visited, before its targets are
+    placed."""
     frontier: list[int | None] = []  # the vertex in each slot, None when free
 
     def place(u: int) -> int:
@@ -284,8 +284,7 @@ def _plan(targets) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...] | N
     for v in _narrow_order(targets):
         p = place(v)
         frontier[p] = None  # a target may take v's slot: v's supply leaves it before the split
-        ms = tuple(m - 1 for _, m in targets[v])
-        steps.append((v, p, tuple(place(u) for u, _ in targets[v]), ms if any(ms) else None))
+        steps.append((v, p, tuple(place(u) for u, _ in targets[v]), tuple(m - 1 for _, m in targets[v])))
     return tuple(steps)
 
 
@@ -328,10 +327,7 @@ def _frontier_dp(targets, b, draw, most_drawn) -> int:
             split = splits.get(supply)
             if split is None:
                 split = splits[supply] = [
-                    (
-                        sum(map(operator.mul, c, units)),
-                        1 if ms is None else math.prod(map(math.comb, map(operator.add, c, ms), ms)),
-                    )
+                    (sum(map(operator.mul, c, units)), math.prod(map(math.comb, map(operator.add, c, ms), ms)))
                     for c in enumerate_compositions(supply, len(units))
                 ]
             base = key & clear

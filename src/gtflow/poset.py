@@ -447,8 +447,7 @@ def point_partition(mp: MarkedPoset, x: dict) -> list[frozenset]:
         return e
 
     for p, q in mp.poset.covers:
-        a, b = x[p], x[q]
-        if a == b if type(a) is int is type(b) else Fraction(a) == Fraction(b):
+        if x[p] == x[q]:
             parent[find(p)] = find(q)
     blocks: dict[str, set] = {}
     for e in mp.poset.elements:
@@ -484,10 +483,11 @@ def enumerate_vertices(mp: MarkedPoset) -> list[dict]:
     return [{e: value_of[v] for e, v in x.items()} for x in vertices]
 
 
-def _below(bits, n: int, k: int) -> int:
-    """A uniform draw from range(n), k = n.bit_length(), by rejection on
-    k random bits from `bits`: the draw random.Random.randint(a, a + n - 1)
-    makes, minus a."""
+def _below(bits, n: int) -> int:
+    """A uniform draw from range(n) by rejection on n.bit_length() random
+    bits from `bits`: the draw random.Random.randint(a, a + n - 1) makes,
+    minus a."""
+    k = n.bit_length()
     r = bits(k)
     while r >= n:
         r = bits(k)
@@ -515,7 +515,7 @@ def check_minkowski(mp: MarkedPoset, lam: dict, mu: dict, trials: int = 100, see
     for _ in range(trials):
         # the objective is num/d per element, num in -30..30 and d in 1..7,
         # scaled to an int by 420 = lcm(1..7)
-        c = [(_below(bits, 61, 6) - 30) * 420 // (_below(bits, 7, 3) + 1) for _ in els]
+        c = [(_below(bits, 61) - 30) * 420 // (_below(bits, 7) + 1) for _ in els]
         if support(vb, c) != support(vl, c) + support(vm, c):
             return False
     return True

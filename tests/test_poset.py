@@ -300,8 +300,8 @@ def test_objective_draws_are_randint_draws():
     for seed in range(20):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(500):
-            assert poset._below(ours.getrandbits, 61, 6) - 30 == ref.randint(-30, 30)
-            assert poset._below(ours.getrandbits, 7, 3) + 1 == ref.randint(1, 7)
+            assert poset._below(ours.getrandbits, 61) - 30 == ref.randint(-30, 30)
+            assert poset._below(ours.getrandbits, 7) + 1 == ref.randint(1, 7)
         assert ours.getstate() == ref.getstate()
 
 
