@@ -296,49 +296,48 @@ def walk_shsyt(n: int, emit) -> None:
     """
     order = _staircase_order(n)
     total = len(order)
-    check, buf = _staircase_layout(total).check, [0] * total
+    runs: dict[int, list] = {}  # the runs out of every state the walk branches at
+    todo = [0]
+    while todo:
+        s = todo.pop()
+        if s not in runs:
+            runs[s] = [_forced_run(order, cell, t) for cell, t in _moves(order, s)]
+            todo += [t for _, t in runs[s] if t is not None]
+    _walk_runs(runs, 0, [0] * total, _staircase_layout(total).check, emit)
 
-    def moves(filled: int) -> list[tuple[int, int]]:
-        """(cell index, next state) for every addable cell of `filled`."""
-        return [
-            (k, filled | b) for k, (b, before, _) in enumerate(order) if not b & filled and before & filled == before
-        ]
 
-    def forced_run(cell: int, t: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
-        """The (cell, value) pairs written by the move into state t and the
-        forced moves after it, in order, and the state where they stop, None
-        when it is the full staircase."""
-        pairs = [(cell, t.bit_count())]
-        while len(m := moves(t)) == 1:
-            [(cell, t)] = m
-            pairs.append((cell, t.bit_count()))
-        return tuple(pairs), t if m else None
+def _walk_runs(runs: dict, s: int, buf: list, check, emit) -> None:
+    """Follow every run out of state s, writing its pairs into buf, and emit
+    the tableau of each leaf, which must pass check."""
+    for pairs, t in runs[s]:
+        for cell, w in pairs:
+            buf[cell] = w
+        if t is not None:
+            _walk_runs(runs, t, buf, check, emit)
+        elif check(entries := tuple(buf)):
+            tableau = object.__new__(ShiftedTableau)
+            object.__setattr__(tableau, "entries", entries)
+            emit(tableau)
+        else:
+            ShiftedTableau(entries)  # raises the entries' first error
 
-    runs: dict[int, list] = {}
 
-    def visit(s: int) -> None:
-        runs[s] = [forced_run(cell, t) for cell, t in moves(s)]
-        for _, t in runs[s]:
-            if t is not None and t not in runs:
-                visit(t)
+def _moves(order, filled: int) -> list[tuple[int, int]]:
+    """(cell index, next state) for every addable cell of `filled`."""
+    return [
+        (k, filled | b) for k, (b, before, _) in enumerate(order) if not b & filled and before & filled == before
+    ]
 
-    visit(0)
-    new, set_field = object.__new__, object.__setattr__
 
-    def rec(s: int) -> None:
-        for pairs, t in runs[s]:
-            for cell, w in pairs:
-                buf[cell] = w
-            if t is not None:
-                rec(t)
-            elif check(entries := tuple(buf)):
-                tableau = new(ShiftedTableau)
-                set_field(tableau, "entries", entries)
-                emit(tableau)
-            else:
-                ShiftedTableau(entries)  # raises the entries' first error
-
-    rec(0)
+def _forced_run(order, cell: int, t: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
+    """The (cell, value) pairs written by the move into state t and the
+    forced moves after it, in order, and the state where they stop, None
+    when it is the full staircase."""
+    pairs = [(cell, t.bit_count())]
+    while len(m := _moves(order, t)) == 1:
+        [(cell, t)] = m
+        pairs.append((cell, t.bit_count()))
+    return tuple(pairs), t if m else None
 
 
 @lru_cache(maxsize=None)

@@ -259,12 +259,11 @@ class MarkedPoset:
         for e in self.poset.maximal_elements() + self.poset.minimal_elements():
             if e not in lam:
                 raise PosetError(f"extremal element {e} is unmarked")
-        for p in lam:
-            for q in lam:
-                if self.poset.lt(p, q) and not lam[p] <= lam[q]:
-                    raise PosetError(
-                        f"marking not order-preserving: {p}<{q} but {lam[p]}>{lam[q]}"
-                    )
+        bit, below = self.poset._bit, self.poset._below
+        for p, v in lam.items():
+            for q, w in lam.items():
+                if below[q] & bit[p] and not v <= w:
+                    raise PosetError(f"marking not order-preserving: {p}<{q} but {v}>{w}")
 
     def sorted_marked(self) -> tuple[str, ...]:
         """Marked elements with values descending; ties: larger elements first."""

@@ -27,10 +27,12 @@ from .combinat import enumerate_compositions, leading_coefficient
 from .flow import FlowError, FlowNetwork, enumerate_integer_flows, kostant, leaf_volume, simplify
 from .poset import BOTTOM, TOP, MarkedPoset, PosetError, lattice_points, marked_volume
 from .transform import (
+    SENTINEL,
     DualNetwork,
     EmbeddingError,
     Face,
     MarkedEmbedding,
+    _chain_covers,
     build_G_PAlambda,
     gamma,
 )
@@ -383,14 +385,32 @@ def sigma_from_tree(face: Face, tree: NoncrossingTree) -> tuple[str, ...]:
 
 def subdivide_with_extension(me: MarkedEmbedding, face_id: str, sigma) -> MarkedEmbedding:
     """Replace the face by the given linear order of its elements, rerouting
-    the neighbouring boundary chains through the new chain."""
+    the neighbouring boundary chains through the new chain.  The child is
+    made through the `MarkedEmbedding` constructor, which checks it."""
     fi = me.face_ids.index(face_id)
     face = me.faces[fi]
     sigma = tuple(sigma)
     elements = set(face.left) | set(face.right)
     if len(sigma) != len(elements) or set(sigma) != elements:
         raise EmbeddingError("extension must order exactly the face elements")
-    return me._replace_face(fi, sigma)
+    chain = _chain_covers(sigma)
+    poset = me.mp.poset.with_relations([c for c in chain if BOTTOM not in c and TOP not in c])
+    sides = [[] if c == SENTINEL else _chain_covers(c) for c in (face.right, face.left)]
+    boundary = set(sides[0] + sides[1])
+    pos = {e: t for t, e in enumerate(sigma)}
+    faces = list(me.faces)
+    # side 0: the left chains holding a cover of F's right chain; side 1: the
+    # right chains holding a cover of F's left chain
+    for side, store, covers in zip((0, 1), me.edge_sides, sides):
+        for gi in {store[c] for c in covers} - {fi}:
+            was = (faces[gi].left, faces[gi].right)[side]
+            c = [was[0]]
+            for u, w in zip(was, was[1:]):
+                c += sigma[pos[u] + 1 : pos[w] + 1] if (w, u) in boundary else (w,)
+            faces[gi] = Face(tuple(c), faces[gi].right) if side == 0 else Face(faces[gi].left, tuple(c))
+    del faces[fi]
+    flags, face_ids = me.flags[:fi] + me.flags[fi + 1 :], me.face_ids[:fi] + me.face_ids[fi + 1 :]
+    return MarkedEmbedding(MarkedPoset(poset, me.mp.marking_items), tuple(faces), flags, face_ids, me.hat_values)
 
 
 # ---------------------------------------------------------------------------

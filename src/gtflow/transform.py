@@ -65,7 +65,7 @@ class Face:
 
 def _chain_covers(chain) -> list[tuple[str, str]]:
     """Cover pairs (lower, upper) along a descending chain."""
-    return [(chain[t + 1], chain[t]) for t in range(len(chain) - 1)]
+    return list(zip(chain[1:], chain))
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class MarkedEmbedding:
             if self.hat_values is None or not self.hat_values[0] <= self.hat_values[1]:
                 raise EmbeddingError("empty marking needs ordered hat values")
         covers = set(hat_covers(self.mp.poset))
-        lamhat = self.extended_marking
+        marked = {*self.mp.marking, BOTTOM, TOP}  # the hats always carry a mark
         lo = [f for f in self.faces if f.is_left_outer]
         ro = [f for f in self.faces if f.is_right_outer]
         if len(lo) != 1 or len(ro) != 1:
@@ -164,7 +164,7 @@ class MarkedEmbedding:
                         f"face {self.face_ids[fi]} chains must share max and min"
                     )
         east, west = self.edge_sides
-        if set(east) != covers or set(west) != covers:
+        if east.keys() != covers or west.keys() != covers:
             missing = (covers - set(east)) | (covers - set(west))
             extra = (set(east) - covers) | (set(west) - covers)
             raise EmbeddingError(f"boundary edges do not tile the Hasse diagram: missing={sorted(missing)} extra={sorted(extra)}")
@@ -178,65 +178,12 @@ class MarkedEmbedding:
             chain = self.flagged_chain(fi)
             if chain == SENTINEL:
                 continue
-            if any(p in lamhat for p in chain[1:-1]):
-                if face.max not in lamhat or face.min not in lamhat:
+            if not marked.isdisjoint(chain[1:-1]):
+                if face.max not in marked or face.min not in marked:
                     raise EmbeddingError(
                         f"face {self.face_ids[fi]}: marked {self.flags[fi]} boundary "
                         f"but max/min unmarked"
                     )
-
-    def _replace_face(self, fi: int, sigma: tuple[str, ...]) -> "MarkedEmbedding":
-        """The cell step's child: face fi replaced by the chain sigma (its
-        elements, largest first), the chains across its boundary rerouted.
-
-        Flags, ids, outer faces, extremal elements (a cell only adds
-        relations) and the other chains carry over, so only what the step
-        changes is tested: sigma's ends, the marked pairs it orders, the hat
-        covers (self's less the face's boundary plus sigma's chain, one
-        fewer) and the rerouted chains (no repeat, marked ends where flagged
-        and marked inside, each sigma cover once per side).  If a test
-        fails, the full check runs and raises as `make` does.
-        """
-        face = self.faces[fi]
-        chain = _chain_covers(sigma)
-        sigma_covers = set(chain)
-        poset = self.mp.poset.with_relations([c for c in chain if BOTTOM not in c and TOP not in c])
-        sides = [[] if c == SENTINEL else _chain_covers(c) for c in (face.right, face.left)]
-        boundary = set(sides[0] + sides[1])
-        old, new = set(hat_covers(self.mp.poset)), set(hat_covers(poset))
-        ok = (
-            not (face.is_left_outer or face.is_right_outer)
-            and (sigma[0], sigma[-1]) == (face.max, face.min)
-            and _marks_stay_ordered(self.mp.poset, poset, self.mp.marking)
-            and len(new) == len(old) - 1
-            and new == (old - boundary) | sigma_covers
-        )
-        pos = {e: t for t, e in enumerate(sigma)}
-        lamhat = self.extended_marking
-        faces = list(self.faces)
-        # side 0: the left chains holding a cover of F's right chain; side 1
-        for side, store, covers in zip((0, 1), self.edge_sides, sides):
-            seen = []
-            for gi in {store[c] for c in covers} - {fi}:
-                was = (faces[gi].left, faces[gi].right)[side]
-                c = [was[0]]
-                for u, w in zip(was, was[1:]):
-                    c += sigma[pos[u] + 1 : pos[w] + 1] if (w, u) in boundary else (w,)
-                c = tuple(c)
-                faces[gi] = Face(c, faces[gi].right) if side == 0 else Face(faces[gi].left, c)
-                marked_inside = side == "LR".index(self.flags[gi]) and not lamhat.keys().isdisjoint(c[1:-1])
-                ok = ok and len(set(c)) == len(c) and (not marked_inside or c[0] in lamhat and c[-1] in lamhat)
-                seen += [cov for cov in zip(c[1:], c) if cov in sigma_covers]
-            ok = ok and sorted(seen) == sorted(chain)
-        del faces[fi]
-        child = object.__new__(MarkedEmbedding)
-        mp = MarkedPoset(poset, self.mp.marking_items)
-        values = (mp, tuple(faces), self.flags[:fi] + self.flags[fi + 1 :], self.face_ids[:fi] + self.face_ids[fi + 1 :])
-        for name, value in zip(("mp", "faces", "flags", "face_ids", "hat_values"), (*values, self.hat_values)):
-            object.__setattr__(child, name, value)
-        if not ok:
-            child.__post_init__()
-        return child
 
     def to_json(self) -> dict:
         d = {
@@ -274,18 +221,6 @@ class MarkedEmbedding:
             return MarkedEmbedding.make(mp, faces, flags, ids, hv)
         except TypeError as exc:  # a number where a list belongs, or the reverse
             raise EmbeddingError(f"embedding JSON has a value of the wrong shape: {exc}") from exc
-
-
-def _marks_stay_ordered(old: Poset, new: Poset, lam: dict) -> bool:
-    """Every pair of marked elements that new, old with relations added,
-    makes comparable is order-preserving."""
-    bit = new._bit
-    marked = sum(bit[a] for a in lam)
-    for q, v in lam.items():
-        gained = new._below[q] & ~old._below[q] & marked
-        if gained and any(gained & bit[p] and lam[p] > v for p in lam):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ pass.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from . import corpus
 from .combinat import binomial, count_N, count_ssyt, enumerate_compositions, leading_coefficient, walk_shsyt
 from .flow import (
@@ -81,15 +83,10 @@ def skip(skipped, identity, instance, reason) -> None:
 
 
 def partitions(max_n: int, max_part: int):
+    """The weakly decreasing tuples of 1..max_n parts in 0..max_part, shortest
+    first, each length in decreasing lexicographic order."""
     for n in range(1, max_n + 1):
-        def rec(prefix):
-            if len(prefix) == n:
-                yield tuple(prefix)
-                return
-            hi = prefix[-1] if prefix else max_part
-            for v in range(hi, -1, -1):
-                yield from rec(prefix + [v])
-        yield from rec([])
+        yield from combinations_with_replacement(range(max_part, -1, -1), n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import gtflow
-from gtflow import combinat, flow, gt, poset
+from gtflow import combinat, flow, gt, poset, subdivision, verify
 
 
 def _library_nodes():
@@ -148,6 +148,8 @@ def _kernel_calls():
     chain = poset.Poset.from_covers(["a", "m", "c"], [("a", "m"), ("m", "c")])
     mp = poset.MarkedPoset.make(chain, {"a": 0, "c": 2})
     net = gt.build_G_lambda((2, 1, 0)).network
+    me = gt.gt_embedding((2, 1, 0))
+    face_id, face = me.face_ids[0], me.faces[0]  # D2_3, its one inner face
     return [
         lambda: combinat.enumerate_compositions(3, 3),
         lambda: combinat.count_ssyt((2, 1), 3),
@@ -157,6 +159,9 @@ def _kernel_calls():
         lambda: poset.enumerate_vertices(mp),
         lambda: chain.order_polynomial(2),
         lambda: chain.count_linear_extensions(),
+        lambda: combinat.walk_shsyt(4, [].append),
+        lambda: list(verify.partitions(3, 2)),
+        lambda: subdivision.subdivide_with_extension(me, face_id, subdivision.face_extensions(face)[0]),
     ]
 
 

@@ -375,11 +375,19 @@ SWEEP_REJECTIONS = {
 }
 
 
+def _with_index(me):
+    """An embedding with the index of its poset and the covers and order of
+    its hat poset, to compare a cell step's child with a twin built from
+    scratch."""
+    return me, me.mp.poset.topo_order, me.mp.poset._below, me.hat_poset.covers, me.hat_poset.topo_order
+
+
 def test_a_child_changes_only_covers_of_the_replaced_face():
     # every order of every inner face's elements, on the corpus and on the
     # n = 5 GT embedding: an accepted child has lost only hat covers of the
-    # replaced face's boundary and gained only covers of the new chain; any
-    # other order is rejected while the child is made
+    # replaced face's boundary and gained only covers of the new chain, and
+    # equals a twin whose poset index is built from scratch; any other order
+    # is rejected while the child is made
     embeddings = [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]
     accepted = 0
     rejected = Counter()
@@ -398,6 +406,10 @@ def test_a_child_changes_only_covers_of_the_replaced_face():
                 old, new = set(me.hat_poset.covers), set(child.hat_poset.covers)
                 assert old - new <= boundary, (name, face_id, sigma)
                 assert new - old <= set(_chain_covers(sigma)), (name, face_id, sigma)
+                p = child.mp.poset
+                mp = MarkedPoset.make(Poset.from_covers(p.elements, p.covers), child.mp.marking)
+                twin = MarkedEmbedding.make(mp, child.faces, child.flags, child.face_ids, child.hat_values)
+                assert _with_index(child) == _with_index(twin), (name, face_id, sigma)
     assert accepted == 39
     assert rejected == SWEEP_REJECTIONS
 
@@ -409,90 +421,7 @@ def test_an_extension_must_list_each_face_element_once():
             subdivide_with_extension(me, "F1", sigma)
 
 
-def _count_full_checks(monkeypatch) -> Counter:
-    """Count the full embedding checks: a cell step runs one exactly when a
-    local test fails."""
-    runs = Counter()
-    real = MarkedEmbedding.__post_init__
-
-    def counted(self):
-        runs["full"] += 1
-        return real(self)
-
-    monkeypatch.setattr(MarkedEmbedding, "__post_init__", counted)
-    return runs
-
-
-def _disagreement(child, full_check_ran):
-    """Why the local check's verdict on a cell step's child differs from the
-    full check of a twin made from scratch of the same fields, or None."""
-    p = child.mp.poset
-    mp = MarkedPoset.make(Poset.from_covers(p.elements, p.covers), child.mp.marking)
-    try:
-        twin = MarkedEmbedding.make(mp, child.faces, child.flags, child.face_ids, child.hat_values)
-    except (EmbeddingError, PosetError) as exc:
-        return f"the local check accepts a child the full check rejects: {exc}"
-    if full_check_ran:
-        return "the local check rejects a child the full check accepts"
-
-    def index(me):
-        return me, me.mp.poset.topo_order, me.mp.poset._below, me.hat_poset.covers, me.hat_poset.topo_order
-
-    return None if index(child) == index(twin) else "the child differs from its fully checked twin"
-
-
-def _sweep_disagreements(runs) -> tuple[int, list]:
-    """Every order of every inner face, on the corpus and on the n = 5 GT
-    embedding: the number accepted, and each order on which the local check
-    and the full check disagree.  A rejected order needs no twin: the step
-    raised from the full check, or before any local test."""
-    accepted, bad = 0, []
-    for name, me in [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]:
-        for face_id, face in zip(me.face_ids, me.faces):
-            if SENTINEL in (face.left, face.right):
-                continue
-            for sigma in itertools.permutations(dict.fromkeys(face.left + face.right)):
-                runs.clear()
-                try:
-                    child = subdivide_with_extension(me, face_id, sigma)
-                except (EmbeddingError, PosetError):
-                    continue
-                accepted += 1
-                why = _disagreement(child, runs["full"] > 0)
-                if why:
-                    bad.append((name, face_id, sigma, why))
-    return accepted, bad
-
-
-def test_the_local_check_agrees_with_the_full_check(monkeypatch):
-    runs = _count_full_checks(monkeypatch)
-    assert _sweep_disagreements(runs) == (39, [])
-    # every cell full_subdivision_check makes on the covered corpus and at n = 5
-    children = []
-    real = subdivision.subdivide_with_extension
-    monkeypatch.setattr(subdivision, "subdivide_with_extension", lambda *a: children.append(real(*a)) or children[-1])
-    cells = 0
-    for name, me in [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]:
-        children.clear()
-        runs.clear()
-        try:
-            assert full_subdivision_check(me).ok, name
-        except UncoveredEmbeddingError:
-            continue
-        assert runs["full"] == 0, name
-        assert [why for why in (_disagreement(c, False) for c in children) if why] == [], name
-        cells += len(children)
-    assert cells > 448  # the n = 5 check makes 448
-
-
-def test_the_agreement_property_catches_a_local_check_without_the_marking_test(monkeypatch):
-    runs = _count_full_checks(monkeypatch)
-    monkeypatch.setattr(transform, "_marks_stay_ordered", lambda old, new, lam: True)
-    _, bad = _sweep_disagreements(runs)
-    assert bad and all("accepts a child the full check rejects: marking not order-preserving" in why for *_, why in bad)
-
-
-def test_a_cell_step_builds_no_poset_index_and_no_full_embedding_check(monkeypatch):
+def test_a_cell_step_builds_no_poset_index_and_one_embedding_check(monkeypatch):
     me = gt_embedding((4, 3, 2, 1, 0))
     runs = Counter()
     for cls in (MarkedEmbedding, Poset):
@@ -503,9 +432,63 @@ def test_a_cell_step_builds_no_poset_index_and_no_full_embedding_check(monkeypat
             return _real(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    children = Counter()
+    real_step = subdivision.subdivide_with_extension
+
+    def step(*args):
+        children["cells"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(subdivision, "subdivide_with_extension", step)
     report = full_subdivision_check(me)
     assert (report.cells, report.total_volume, report.root_volume, report.ok) == (286, 1, 1, True)
-    assert runs == Counter()  # the full checks make 448 and 896
+    # each child is checked once, when it is made; its poset keeps the
+    # index that with_relations computes
+    assert children == Counter(cells=448)
+    assert runs == Counter(MarkedEmbedding=448)
+
+
+def test_a_cell_step_without_one_of_its_relations_gives_the_same_child_or_raises(monkeypatch):
+    # with_relations drops one of the relations a step adds, one at a time,
+    # for every accepted order of every inner face: the child is then the
+    # same (the relation was implied by the others) or making it raises
+    real = Poset.with_relations
+    drop = {}
+
+    def dropping(self, pairs):
+        pairs = list(pairs)
+        drop["added"] = len(pairs)
+        if "index" in drop:
+            del pairs[drop["index"]]
+        return real(self, pairs)
+
+    monkeypatch.setattr(Poset, "with_relations", dropping)
+    outcomes = Counter()
+    embeddings = [
+        *corpus.embeddings(),
+        ("gt-3-2-1-0", gt_embedding((3, 2, 1, 0))),
+        ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0))),
+    ]
+    for name, me in embeddings:
+        for face_id, face in zip(me.face_ids, me.faces):
+            if SENTINEL in (face.left, face.right):
+                continue
+            for sigma in itertools.permutations(dict.fromkeys(face.left + face.right)):
+                drop.clear()
+                try:
+                    child = subdivide_with_extension(me, face_id, sigma)
+                except (EmbeddingError, PosetError):
+                    continue
+                for i in range(drop["added"]):
+                    drop["index"] = i
+                    try:
+                        same = subdivide_with_extension(me, face_id, sigma) == child
+                    except (EmbeddingError, PosetError):
+                        outcomes["raised"] += 1
+                        continue
+                    assert same, (name, face_id, sigma, i)
+                    outcomes["same"] += 1
+    assert outcomes == Counter(same=87, raised=45)
 
 
 def test_extension_bijection_infeasible_gap():
