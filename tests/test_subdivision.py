@@ -382,6 +382,15 @@ def _with_index(me):
     return me, me.mp.poset.topo_order, me.mp.poset._below, me.hat_poset.covers, me.hat_poset.topo_order
 
 
+def _twin(child):
+    """A twin of a cell step's child, made from scratch of the same fields:
+    its poset index is built from the covers, not carried over by
+    with_relations."""
+    p = child.mp.poset
+    mp = MarkedPoset.make(Poset.from_covers(p.elements, p.covers), child.mp.marking)
+    return MarkedEmbedding.make(mp, child.faces, child.flags, child.face_ids, child.hat_values)
+
+
 def test_a_child_changes_only_covers_of_the_replaced_face():
     # every order of every inner face's elements, on the corpus and on the
     # n = 5 GT embedding: an accepted child has lost only hat covers of the
@@ -406,12 +415,29 @@ def test_a_child_changes_only_covers_of_the_replaced_face():
                 old, new = set(me.hat_poset.covers), set(child.hat_poset.covers)
                 assert old - new <= boundary, (name, face_id, sigma)
                 assert new - old <= set(_chain_covers(sigma)), (name, face_id, sigma)
-                p = child.mp.poset
-                mp = MarkedPoset.make(Poset.from_covers(p.elements, p.covers), child.mp.marking)
-                twin = MarkedEmbedding.make(mp, child.faces, child.flags, child.face_ids, child.hat_values)
-                assert _with_index(child) == _with_index(twin), (name, face_id, sigma)
+                assert _with_index(child) == _with_index(_twin(child)), (name, face_id, sigma)
     assert accepted == 39
     assert rejected == SWEEP_REJECTIONS
+
+
+def test_the_local_check_agrees_with_the_full_check(monkeypatch):
+    # every cell full_subdivision_check makes on the covered corpus and at
+    # n = 5: the child a cell step makes from its parent's poset index
+    # (with_relations updates it locally) equals a twin whose index is built
+    # and checked in full from scratch
+    children = []
+    real = subdivision.subdivide_with_extension
+    monkeypatch.setattr(subdivision, "subdivide_with_extension", lambda *a: children.append(real(*a)) or children[-1])
+    cells = 0
+    for name, me in [*corpus.embeddings(), ("gt-4-3-2-1-0", gt_embedding((4, 3, 2, 1, 0)))]:
+        children.clear()
+        try:
+            assert full_subdivision_check(me).ok, name
+        except UncoveredEmbeddingError:
+            continue
+        assert [i for i, c in enumerate(children) if _with_index(c) != _with_index(_twin(c))] == [], name
+        cells += len(children)
+    assert cells > 448  # the n = 5 check makes 448
 
 
 def test_an_extension_must_list_each_face_element_once():
