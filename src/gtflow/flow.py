@@ -37,11 +37,11 @@ class FlowNetwork:
     @staticmethod
     def make(num_vertices, edges, netflow, in_orders=None, out_orders=None, names=None):
         return FlowNetwork(
-            int(num_vertices),
-            tuple((int(u), int(v)) for u, v in edges),
-            tuple(int(a) for a in netflow),
-            None if in_orders is None else tuple(tuple(o) for o in in_orders),
-            None if out_orders is None else tuple(tuple(o) for o in out_orders),
+            operator.index(num_vertices),
+            tuple((operator.index(u), operator.index(v)) for u, v in edges),
+            tuple(map(operator.index, netflow)),
+            None if in_orders is None else tuple(tuple(map(operator.index, o)) for o in in_orders),
+            None if out_orders is None else tuple(tuple(map(operator.index, o)) for o in out_orders),
             None if names is None else tuple(names),
         )
 
@@ -84,6 +84,19 @@ class FlowNetwork:
     def _edge_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """Per vertex, its in- and out-edge indices in list order; not a field."""
         return tuple(tuple(map(tuple, lists)) for lists in self._incidence())
+
+    @cached_property
+    def _targets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex v, the sorted (w, multiplicity of edges v -> w) pairs;
+        not a field."""
+        targets = []
+        for v in range(self.num_vertices):
+            mult: dict[int, int] = {}
+            for i in self.out_edges(v):
+                w = self.edges[i][1]
+                mult[w] = mult.get(w, 0) + 1
+            targets.append(tuple(sorted(mult.items())))
+        return tuple(targets)
 
     def in_edges(self, v: int) -> tuple[int, ...]:
         return (self._edge_lists[0] if self.in_orders is None else self.in_orders)[v]
@@ -189,7 +202,7 @@ class FlowNetwork:
 def enumerate_integer_flows(g: FlowNetwork, b=None) -> list[tuple[int, ...]]:
     """All integer flows with netflow b, by vertex-by-vertex assignment in
     index order with conservation pruning."""
-    b = g.netflow if b is None else tuple(int(x) for x in b)
+    b = g.netflow if b is None else tuple(map(operator.index, b))
     if len(b) != g.num_vertices:
         raise FlowError("netflow vector has wrong length")
     if sum(b) != 0:
@@ -230,18 +243,6 @@ def _assign_flows(v, b, outs, heads, values, inflow, splits, flows) -> None:
         _assign_flows(v + 1, b, outs, heads, values, inflow, splits, flows)
         for w, amount in zip(hv, comp):
             inflow[w] -= amount
-
-
-def _targets(g: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per vertex v, the sorted (w, multiplicity of edges v -> w) pairs."""
-    targets = []
-    for v in range(g.num_vertices):
-        mult: dict[int, int] = {}
-        for i in g.out_edges(v):
-            w = g.edges[i][1]
-            mult[w] = mult.get(w, 0) + 1
-        targets.append(tuple(sorted(mult.items())))
-    return tuple(targets)
 
 
 def _narrow_order(targets) -> tuple[int, ...]:
@@ -342,12 +343,12 @@ def kostant(g: FlowNetwork, b=None) -> int:
     One _frontier_dp pass with no draw, keyed by the frontier's flow only.
     Independent of the brute-force enumeration above, its oracle in tests.
     """
-    b = g.netflow if b is None else tuple(int(x) for x in b)
+    b = g.netflow if b is None else tuple(map(operator.index, b))
     if len(b) != g.num_vertices:
         raise FlowError("netflow vector has wrong length")
     if sum(b) != 0:
         return 0
-    return _frontier_dp(_targets(g), b, lambda v, need, drawn: () if need > 0 else ((0, 1),), 0)
+    return _frontier_dp(g._targets, b, lambda v, need, drawn: () if need > 0 else ((0, 1),), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def _weighted_kostant(g: FlowNetwork, weight) -> int:
     check_lidskii_preconditions(g)
     total = g.dimension()
     sink = g.num_vertices - 1
-    targets = tuple(tuple((w, m) for w, m in tv if w != sink) for tv in _targets(g)[:sink])
+    targets = tuple(tuple((w, m) for w, m in tv if w != sink) for tv in g._targets[:sink])
 
     @lru_cache(maxsize=None)  # within this pass: each (v, rem) weight list once
     def weights(v, rem):

@@ -1,6 +1,7 @@
-"""Subdivision machinery: bipartite noncrossing trees, compounded reductions
-of flow networks, face-replacement subdivisions of marked order polytopes,
-and the bijections tying the two sides together.
+"""Subdivision machinery: bipartite noncrossing trees (as weak
+compositions), compounded reductions of flow networks, face-replacement
+subdivisions of marked order polytopes, and the bijections tying the two
+sides together.
 
 Conventions.  At a reduced vertex the incoming edges form the left column of
 the bipartite tree and the outgoing edges the right column, both ordered
@@ -58,58 +59,23 @@ def _require_left_flags(me: MarkedEmbedding) -> None:
 # noncrossing trees
 
 
-@dataclass(frozen=True)
-class NoncrossingTree:
-    """Bipartite noncrossing tree on ordered columns of `left` and `right`
-    vertices; edges (t, s) are 0-based and listed in staircase scan order."""
-
-    left: int
-    right: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.edges) != self.left + self.right - 1:
-            raise ValueError("not a spanning tree edge count")
-        seen_l = [0] * self.left
-        seen_r = [0] * self.right
-        for t, s in self.edges:
-            seen_l[t] += 1
-            seen_r[s] += 1
-        if 0 in seen_l or 0 in seen_r:
-            raise ValueError("tree must cover all vertices")
-        for (p, q) in self.edges:
-            for (t, u) in self.edges:
-                if p < t and q > u:
-                    raise ValueError("crossing edges")
-
-    @staticmethod
-    def from_composition(comp) -> "NoncrossingTree":
-        comp = tuple(int(c) for c in comp)
-        l = len(comp)
-        r = sum(comp) + 1
-        ends = [0]
-        for c in comp:
-            ends.append(ends[-1] + c)
-        edges = []
-        for t in range(l):
-            for s in range(ends[t], ends[t + 1] + 1):
-                edges.append((t, s))
-        return NoncrossingTree(l, r, tuple(edges))
-
-    def to_composition(self) -> tuple[int, ...]:
-        degs = [0] * self.left
-        for t, _ in self.edges:
-            degs[t] += 1
-        return tuple(d - 1 for d in degs)
-
-
 @lru_cache(maxsize=64)
-def enumerate_noncrossing_trees(l: int, r: int) -> tuple[NoncrossingTree, ...]:
-    """All noncrossing trees with l left and r right vertices, via the
-    bijection with weak compositions of r-1 into l parts."""
+def enumerate_noncrossing_trees(l: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """All noncrossing trees with l left and r right vertices, each as its
+    weak composition c of r-1 into l parts: left vertex t joins the right
+    vertices c_0+...+c_{t-1} through c_0+...+c_t (0-based)."""
     if l < 1 or r < 1:
         raise ValueError("need at least one vertex in each column")
-    return tuple(NoncrossingTree.from_composition(c) for c in enumerate_compositions(r - 1, l))
+    return tuple(enumerate_compositions(r - 1, l))
+
+
+def _tree_edges(comp) -> list[tuple[int, int]]:
+    """The edges (t, s) of a composition's tree, in staircase scan order."""
+    edges, s = [], 0
+    for t, c in enumerate(comp):
+        edges += [(t, u) for u in range(s, s + c + 1)]
+        s += c
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +83,9 @@ def enumerate_noncrossing_trees(l: int, r: int) -> tuple[NoncrossingTree, ...]:
 
 
 def compound_reductions(g: FlowNetwork, v: int, trees):
-    """Replace the zero-netflow vertex v by each tree's edge identifications.
+    """Replace the zero-netflow vertex v by each tree's edge identifications;
+    a tree is its composition (see enumerate_noncrossing_trees), with one
+    part per in-edge of v and parts summing to outdeg(v) - 1.
 
     Yields (network, survivor_map old->new, pairs) per tree, where pairs
     lists (new_edge_index, old_in_edge, old_out_edge) for the tree edges,
@@ -151,13 +119,14 @@ def compound_reductions(g: FlowNetwork, v: int, trees):
         [None if dead.intersection(o) else tuple(map(old_to_new.__getitem__, o)) for o in map(side, kept)]
         for side in sides
     ]
-    for tree in trees:
-        if tree.left != len(ins) or tree.right != len(outs):
-            raise FlowError("tree shape does not match the vertex degrees")
+    for comp in trees:
+        if len(comp) != len(ins) or sum(comp) != len(outs) - 1 or min(comp) < 0:
+            raise FlowError(f"tree composition {tuple(comp)} does not match the vertex degrees")
+        tree = _tree_edges(comp)
         pairs = []
         # each edge at v -> the tree edges that replace it (its fan), in tree order
         fans: dict[int, list[int]] = {i: [] for i in dead}
-        for idx, (t, s) in enumerate(tree.edges, len(survivors)):
+        for idx, (t, s) in enumerate(tree, len(survivors)):
             e_in, e_out = ins[t], outs[s]
             pairs.append((idx, e_in, e_out))
             fans[e_in].append(idx)
@@ -178,11 +147,11 @@ def compound_reductions(g: FlowNetwork, v: int, trees):
             tuple(reorder(side(u)) if o is None else o for u, o in zip(kept, side_fixed))
             for side, side_fixed in zip(sides, fixed)
         ]
-        tree_edges = tuple((tails[t], heads[s]) for t, s in tree.edges)
+        tree_edges = tuple((tails[t], heads[s]) for t, s in tree)
         yield FlowNetwork(g.num_vertices - 1, edges + tree_edges, netflow, *orders, names), old_to_new, pairs
 
 
-def compound_reduce(g: FlowNetwork, v: int, tree: NoncrossingTree):
+def compound_reduce(g: FlowNetwork, v: int, tree: tuple[int, ...]):
     """Replace the zero-netflow vertex v by one tree's edge identifications:
     the child compound_reductions yields for that tree."""
     return next(compound_reductions(g, v, (tree,)))
@@ -215,14 +184,14 @@ class ReductionNode:
 @dataclass
 class ReductionTree:
     nodes: list[ReductionNode]
-    children: dict[int, list[int]]
 
     @property
     def root(self) -> ReductionNode:
         return self.nodes[0]
 
     def leaves(self) -> list[int]:
-        return [i for i in range(len(self.nodes)) if not self.children.get(i)]
+        parents = {n.parent for n in self.nodes}
+        return [i for i in range(len(self.nodes)) if i not in parents]
 
     def leaf_networks(self) -> list[FlowNetwork]:
         return [self.nodes[i].network for i in self.leaves()]
@@ -291,7 +260,6 @@ def canonical_reduction_tree(g: FlowNetwork) -> ReductionTree:
     check_sign_convention(g)
     order = _zero_vertices(g)
     nodes = [ReductionNode(g, tuple((i,) for i in range(len(g.edges))))]
-    children: dict[int, list[int]] = {}
     stack = [(0, 0)]
     while stack:
         ni, depth = stack.pop()
@@ -299,14 +267,12 @@ def canonical_reduction_tree(g: FlowNetwork) -> ReductionTree:
             continue
         v = order[depth]
         net = nodes[ni].network
-        children[ni] = []
         trees = enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v))
-        for tree, (child, old_to_new, pairs) in zip(trees, compound_reductions(net, v, trees)):
+        for comp, (child, old_to_new, pairs) in zip(trees, compound_reductions(net, v, trees)):
             paths = _root_paths(nodes[ni].inclusion, old_to_new, pairs)
-            nodes.append(ReductionNode(child, paths, ni, v, tree.to_composition()))
-            children[ni].append(len(nodes) - 1)
+            nodes.append(ReductionNode(child, paths, ni, v, comp))
             stack.append((len(nodes) - 1, depth + 1))
-    return ReductionTree(nodes, children)
+    return ReductionTree(nodes)
 
 
 def reduction_tree_volume(tree: ReductionTree) -> Fraction:
@@ -365,20 +331,21 @@ def face_extensions(face: Face) -> list[tuple[str, ...]]:
     return out
 
 
-def sigma_from_tree(face: Face, tree: NoncrossingTree) -> tuple[str, ...]:
-    """The linear order paired with a noncrossing tree by the bounding
-    rectangle region labeling."""
+def sigma_from_tree(face: Face, comp) -> tuple[str, ...]:
+    """The linear order paired with a noncrossing tree (its composition) by
+    the bounding rectangle region labeling: the left chain's top; for each
+    part c_t, the right chain's t-th element (t >= 1) and then the next c_t
+    interior elements of the left chain; the left chain's bottom."""
     p = face.left
     q = face.right
-    if tree.left != len(q) - 1 or tree.right != len(p) - 1:
+    if len(comp) != len(q) - 1 or sum(comp) != len(p) - 2 or min(comp) < 0:
         raise ValueError("tree does not match the face boundary sizes")
-    sigma = [p[0]]
-    for i in range(len(tree.edges) - 1):
-        (t1, s1), (t2, s2) = tree.edges[i], tree.edges[i + 1]
-        if t1 == t2:
-            sigma.append(p[s2])  # triangle against the right side of the box
-        else:
-            sigma.append(q[t2])  # triangle against the left side
+    sigma, s = [p[0]], 1
+    for t, c in enumerate(comp):
+        if t:
+            sigma.append(q[t])
+        sigma += p[s : s + c]
+        s += c
     sigma.append(p[-1])
     return tuple(sigma)
 
@@ -487,7 +454,7 @@ def _face_vertex(state: _CellState, face_id: str) -> tuple[int, Face]:
     return v, face
 
 
-def _steps(state: _CellState, face_id: str, v: int, face: Face, tree: NoncrossingTree | None = None):
+def _steps(state: _CellState, face_id: str, v: int, face: Face, tree: tuple[int, ...] | None = None):
     """The one cell step: replace the face by the linear extension paired
     with a noncrossing tree, and reduce its dual vertex v_F by the tree;
     v and face are what _face_vertex(state, face_id) returns.
@@ -669,7 +636,7 @@ def leaves_to_extensions(me: MarkedEmbedding, a) -> list[dict]:
             v, face = _face_vertex(state, face_id)
             if any(values[i] != 0 for i in state.network.out_edges(v)):
                 raise EmbeddingError("nonzero flow on an edge into the sink")
-            tree = NoncrossingTree.from_composition(values[i] for i in state.network.in_edges(v))
+            tree = tuple(values[i] for i in state.network.in_edges(v))
             state, old_to_new, pairs = next(_steps(state, face_id, v, face, tree))
             values = _carry(values, old_to_new, [0] * len(pairs))
         if any(values):

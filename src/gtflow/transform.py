@@ -28,7 +28,7 @@ from operator import neg, pos
 
 from .combinat import as_partition
 from .flow import FlowError, FlowNetwork
-from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, _kahn, hat_covers, hat_poset, point_feasible
+from .poset import BOTTOM, TOP, MarkedPoset, Poset, PosetError, _kahn, _parse_rational, hat_covers, hat_poset, point_feasible
 
 SENTINEL = (TOP, BOTTOM)
 
@@ -91,7 +91,7 @@ class MarkedEmbedding:
         if face_ids is None:
             face_ids = tuple(f"F{i}" for i in range(len(faces)))
         if hat_values is not None:
-            hat_values = (Fraction(hat_values[0]), Fraction(hat_values[1]))
+            hat_values = (_parse_rational(hat_values[0]), _parse_rational(hat_values[1]))
         return MarkedEmbedding(mp, faces, tuple(flags), tuple(face_ids), hat_values)
 
     @cached_property

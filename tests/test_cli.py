@@ -255,6 +255,23 @@ def test_json_values_of_the_wrong_shape_give_one_line_and_exit_2(tmp_path, capsy
         assert capsys.readouterr().err == "gtflow: poset JSON 'marked' must be an object\n"
 
 
+def test_a_network_json_number_that_is_not_an_integer_gives_one_line_and_exit_2(tmp_path, capsys):
+    # a float is rejected, not truncated: netflow [1.5, -1.5] is not (1, -1)
+    f = tmp_path / "float.network.json"
+    for data in (
+        {"n": 2, "edges": [[0, 1], [0, 1]], "netflow": [1.5, -1.5]},
+        {"n": 2.9, "edges": [[0, 1]], "netflow": [1, -1]},
+        {"n": 2, "edges": [[0, 1.7]], "netflow": [1, -1]},
+        {"n": 2, "edges": [[0, 1]], "netflow": [1, -1], "out_orders": [[0.0], []]},
+    ):
+        f.write_text(json.dumps(data))
+        assert main(["kostant", "--network", str(f)]) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gtflow: network JSON has a value of the wrong shape: 'float'")
+        assert captured.err.count("\n") == 1
+
+
 def test_an_invalid_embedding_is_rejected_wherever_it_is_made(tmp_path, capsys):
     # a marking that is not order-preserving: every route that makes the
     # embedding rejects it, and both commands that read one exit 2 alike

@@ -15,7 +15,6 @@ from gtflow.flow import (
     FlowError,
     FlowNetwork,
     _narrow_order,
-    _targets,
     check_lidskii_preconditions,
     enumerate_integer_flows,
     kostant,
@@ -45,12 +44,22 @@ def test_network_validation():
         FlowNetwork.make(3, edges, b, in_orders=[(), (0,), (1,)])
     with pytest.raises(FlowError, match="edge ordering at vertex 0 is not a permutation"):
         FlowNetwork.make(3, edges, b, out_orders=[(0, 1), (1,), ()])
+    # integers are read exactly: a float is rejected, never truncated
+    for args in ((3.0, edges, b), (3, [(0, 1.5), (1, 2), (0, 2)], b), (3, edges, (1.5, 0, -1.5))):
+        with pytest.raises(TypeError):
+            FlowNetwork.make(*args)
+    with pytest.raises(TypeError):
+        FlowNetwork.make(3, edges, b, in_orders=[(), (0.0,), (1, 2)])
+    for count in (kostant, enumerate_integer_flows):
+        with pytest.raises(TypeError):
+            count(TRIANGLE, (1.5, 0, -1.5))
 
 
 def test_edge_lists_leave_equality_and_hash_alone():
     g = FlowNetwork.make(3, [(0, 2), (0, 1), (1, 2), (0, 2)], (2, 0, -2))
     h = FlowNetwork.make(3, [(0, 2), (0, 1), (1, 2), (0, 2)], (2, 0, -2))
     assert g.out_edges(0) == (0, 1, 3) and g.in_edges(2) == (0, 2, 3) and g.in_edges(0) == ()
+    assert g._targets == (((1, 1), (2, 2)), ((2, 1),), ())
     assert g == h and hash(g) == hash(h)
     ordered = FlowNetwork.make(
         3, g.edges, g.netflow, [(), (1,), (3, 2, 0)], [(3, 1, 0), (2,), ()]
@@ -363,7 +372,7 @@ def free_networks(draw):
 @given(free_networks())
 @settings(deadline=None, max_examples=120, derandomize=True)
 def test_kostant_and_lidskii_on_networks_without_a_forced_path(g):
-    order = _narrow_order(_targets(g))
+    order = _narrow_order(g._targets)
     assert sorted(order) == list(range(g.num_vertices))
     place = {v: k for k, v in enumerate(order)}
     assert all(place[u] < place[v] for u, v in g.edges)

@@ -20,7 +20,6 @@ from gtflow.gt import build_G_lambda, gt_embedding, gt_volume_product
 from gtflow.poset import MarkedPoset, Poset, PosetError, count_marked_extensions, lattice_points, marked_volume
 from gtflow.subdivision import (
     DegenerateMarkingError,
-    NoncrossingTree,
     ReductionNode,
     ReductionTree,
     UncoveredEmbeddingError,
@@ -41,35 +40,61 @@ from gtflow.transform import SENTINEL, EmbeddingError, Face, MarkedEmbedding, _c
 from test_transform import chain_embedding, diamond_embedding
 
 
-def test_noncrossing_tree_counts():
-    for l in range(1, 6):
-        for r in range(1, 6):
+def _noncrossing_spanning_tree(l, r, edges):
+    """Whether edges (t, s) form a noncrossing spanning tree on ordered
+    columns of l and r vertices: l + r - 1 distinct edges that cover every
+    vertex, no two of them crossing.  A noncrossing bipartite graph has no
+    cycle, so these edges are a tree."""
+    if len(edges) != l + r - 1 or len(set(edges)) != len(edges):
+        return False
+    if {t for t, _ in edges} != set(range(l)) or {s for _, s in edges} != set(range(r)):
+        return False
+    return not any(p < t and q > u for p, q in edges for t, u in edges)
+
+
+def test_each_composition_is_a_noncrossing_spanning_tree():
+    for l in range(1, 7):
+        for r in range(1, 7):
             trees = enumerate_noncrossing_trees(l, r)
             assert len(trees) == math.comb(l + r - 2, l - 1)
-            assert len(set(t.edges for t in trees)) == len(trees)
+            edge_lists = [subdivision._tree_edges(c) for c in trees]
+            for comp, edges in zip(trees, edge_lists):
+                assert _noncrossing_spanning_tree(l, r, edges), comp
+                assert edges == sorted(edges)  # staircase scan order
+                assert [sum(t == u for t, _ in edges) for u in range(l)] == [c + 1 for c in comp]
+            assert len(set(map(tuple, edge_lists))) == len(trees)
+            if l * r <= 9:  # every noncrossing spanning tree is some composition's
+                grid = itertools.product(range(l), range(r))
+                every = [e for e in itertools.combinations(grid, l + r - 1) if _noncrossing_spanning_tree(l, r, e)]
+                assert set(every) == set(map(tuple, edge_lists))
+    assert subdivision._tree_edges((0, 2, 1, 1)) == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
+    assert enumerate_noncrossing_trees(1, 4) == ((3,),)
+    assert subdivision._tree_edges((3,)) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert not _noncrossing_spanning_tree(2, 2, ((0, 1), (1, 0), (1, 1)))
 
 
-def test_noncrossing_tree_composition_round_trip():
-    for l, r in [(2, 3), (3, 4), (4, 5)]:
-        for t in enumerate_noncrossing_trees(l, r):
-            assert NoncrossingTree.from_composition(t.to_composition()) == t
+def test_sigma_from_tree_is_a_bijection_onto_the_face_extensions():
+    for k in range(2, 7):
+        for l in range(2, 7):
+            left = ("top", *(f"p{i}" for i in range(1, k - 1)), "bot")
+            right = ("top", *(f"q{i}" for i in range(1, l - 1)), "bot")
+            face = Face.make(left, right)
+            sigmas = [sigma_from_tree(face, c) for c in enumerate_noncrossing_trees(l - 1, k - 1)]
+            assert len(set(sigmas)) == len(sigmas)
+            assert set(sigmas) == set(face_extensions(face)), (k, l)
 
 
-def test_noncrossing_tree_worked_example():
-    t = NoncrossingTree.from_composition((0, 2, 1, 1))
-    assert t.left == 4 and t.right == 5
-    assert t.to_composition() == (0, 2, 1, 1)  # left degrees 1, 3, 2, 2
-
-
-def test_star_tree():
-    trees = enumerate_noncrossing_trees(1, 4)
-    assert len(trees) == 1
-    assert trees[0].edges == ((0, 0), (0, 1), (0, 2), (0, 3))
-
-
-def test_crossing_rejected():
-    with pytest.raises(ValueError):
-        NoncrossingTree(2, 2, ((0, 1), (1, 0), (1, 1)))
+def test_a_tree_composition_of_the_wrong_shape_is_rejected():
+    # vertex 1 has two in-edges and two out-edges: its trees are the
+    # compositions of 1 into 2 parts
+    g = FlowNetwork.make(4, [(0, 1), (0, 1), (1, 2), (1, 3), (2, 3)], (2, 0, 0, -2))
+    face = Face.make(["a", "x", "b"], ["a", "y", "b"])
+    assert enumerate_noncrossing_trees(2, 2) == ((1, 0), (0, 1))
+    for comp in [(2, -1), (-1, 2), (1,), (1, 0, 0), (1, 1), (0, 0)]:
+        with pytest.raises(FlowError, match="does not match the vertex degrees"):
+            compound_reduce(g, 1, comp)
+        with pytest.raises(ValueError, match="does not match the face boundary sizes"):
+            sigma_from_tree(face, comp)
 
 
 def test_compound_reduce_preserves_dimension_and_flows():
@@ -174,7 +199,6 @@ def test_interior_sample_disjoint_catches_overlapping_cells():
     # a second leaf with the same cell: a separate node, so its points
     # collide with the first leaf's under another leaf index
     tree.nodes.append(dataclasses.replace(leaf))
-    tree.children[leaf.parent].append(len(tree.nodes) - 1)
     assert interior_sample_disjoint(tree)[2] is False
 
 
@@ -182,7 +206,7 @@ def test_interior_sample_disjoint_fails_without_an_interior_point():
     # the edge (1, 2) leaves a vertex with no in-edges and netflow 0, so it
     # carries 0 in every flow and no dilation has an interior point
     g = FlowNetwork.make(3, [(0, 2), (1, 2)], (1, 0, -1))
-    tree = ReductionTree([ReductionNode(g, ((0,), (1,)))], {})
+    tree = ReductionTree([ReductionNode(g, ((0,), (1,)))])
     assert interior_sample_disjoint(tree) == (None, 0, False)
 
 
@@ -214,7 +238,6 @@ def _scanned_tree(g):
     highest zero-netflow vertex, reduced one tree at a time, and its root
     paths are placed by the tree-edge indices of the reduction."""
     nodes = [ReductionNode(g, tuple((i,) for i in range(len(g.edges))))]
-    children = {}
     stack = [0]
     while stack:
         ni = stack.pop()
@@ -223,18 +246,16 @@ def _scanned_tree(g):
         if net.num_vertices == 1 or not zeros:
             continue
         v = zeros[-1]
-        children[ni] = []
-        for tree in enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v)):
-            child, old_to_new, pairs = compound_reduce(net, v, tree)
+        for comp in enumerate_noncrossing_trees(net.indeg(v), net.outdeg(v)):
+            child, old_to_new, pairs = compound_reduce(net, v, comp)
             paths = [None] * len(child.edges)
             for old, new in old_to_new.items():
                 paths[new] = inc[old]
             for idx, a, b in pairs:
                 paths[idx] = inc[a] + inc[b]
-            nodes.append(ReductionNode(child, tuple(paths), ni, v, tree.to_composition()))
-            children[ni].append(len(nodes) - 1)
+            nodes.append(ReductionNode(child, tuple(paths), ni, v, comp))
             stack.append(len(nodes) - 1)
-    return ReductionTree(nodes, children)
+    return ReductionTree(nodes)
 
 
 def test_canonical_reduction_tree_matches_a_per_node_scan():
@@ -605,7 +626,7 @@ def test_compound_reductions_match_one_tree_at_a_time():
             if g.netflow[v] != 0:
                 continue
             if not g.indeg(v) or not g.outdeg(v):
-                tree = NoncrossingTree.from_composition((0,))
+                tree = (0,)
                 assert _reductions(lambda: compound_reductions(g, v, (tree,))) == _reductions(
                     lambda: [compound_reduce(g, v, tree)]
                 )

@@ -98,6 +98,15 @@ def test_build_G_P_on_chain():
     assert lidskii_volume(g) * math.factorial(3) == p.count_linear_extensions()
 
 
+def test_hat_values_read_decimals_exactly():
+    p = Poset.from_covers(["a"], [])
+    faces = [Face.make(SENTINEL, [TOP, "a", BOTTOM]), Face.make([TOP, "a", BOTTOM], SENTINEL)]
+    me = MarkedEmbedding.make(MarkedPoset.make(p, {}), faces, hat_values=[0, 0.1])
+    assert me.hat_values == (0, Fraction(1, 10))
+    assert me.to_json()["hat_values"] == ["0", "1/10"]
+    assert MarkedEmbedding.from_json({**me.to_json(), "hat_values": [0, 0.1]}) == me
+
+
 def test_build_G_P_on_antichain():
     p = Poset.from_covers(["a", "b"], [])
     faces = [
