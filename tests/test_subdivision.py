@@ -52,25 +52,54 @@ def _noncrossing_spanning_tree(l, r, edges):
     return not any(p < t and q > u for p, q in edges for t, u in edges)
 
 
+def test_noncrossing_tree_counts():
+    for l in range(1, 6):
+        for r in range(1, 6):
+            trees = enumerate_noncrossing_trees(l, r)
+            assert len(trees) == math.comb(l + r - 2, l - 1)
+            assert len({tuple(subdivision._tree_edges(c)) for c in trees}) == len(trees)
+
+
+def test_noncrossing_tree_composition_round_trip():
+    # a tree's composition is read back off its edges: left vertex t has
+    # degree c_t + 1
+    for l, r in [(2, 3), (3, 4), (4, 5)]:
+        for comp in enumerate_noncrossing_trees(l, r):
+            edges = subdivision._tree_edges(comp)
+            assert tuple(sum(t == u for t, _ in edges) - 1 for u in range(l)) == comp
+
+
+def test_noncrossing_tree_worked_example():
+    edges = subdivision._tree_edges((0, 2, 1, 1))  # left degrees 1, 3, 2, 2
+    assert {t for t, _ in edges} == set(range(4)) and {s for _, s in edges} == set(range(5))
+    assert edges == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
+
+
+def test_star_tree():
+    trees = enumerate_noncrossing_trees(1, 4)
+    assert trees == ((3,),)
+    assert subdivision._tree_edges(trees[0]) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+
+def test_crossing_rejected():
+    # (0, 1) and (1, 0) cross: no composition of 1 into 2 parts gives them
+    crossing = ((0, 1), (1, 0), (1, 1))
+    assert not _noncrossing_spanning_tree(2, 2, crossing)
+    assert crossing not in {tuple(subdivision._tree_edges(c)) for c in enumerate_noncrossing_trees(2, 2)}
+
+
 def test_each_composition_is_a_noncrossing_spanning_tree():
     for l in range(1, 7):
         for r in range(1, 7):
             trees = enumerate_noncrossing_trees(l, r)
-            assert len(trees) == math.comb(l + r - 2, l - 1)
             edge_lists = [subdivision._tree_edges(c) for c in trees]
             for comp, edges in zip(trees, edge_lists):
                 assert _noncrossing_spanning_tree(l, r, edges), comp
                 assert edges == sorted(edges)  # staircase scan order
-                assert [sum(t == u for t, _ in edges) for u in range(l)] == [c + 1 for c in comp]
-            assert len(set(map(tuple, edge_lists))) == len(trees)
             if l * r <= 9:  # every noncrossing spanning tree is some composition's
                 grid = itertools.product(range(l), range(r))
                 every = [e for e in itertools.combinations(grid, l + r - 1) if _noncrossing_spanning_tree(l, r, e)]
                 assert set(every) == set(map(tuple, edge_lists))
-    assert subdivision._tree_edges((0, 2, 1, 1)) == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
-    assert enumerate_noncrossing_trees(1, 4) == ((3,),)
-    assert subdivision._tree_edges((3,)) == [(0, 0), (0, 1), (0, 2), (0, 3)]
-    assert not _noncrossing_spanning_tree(2, 2, ((0, 1), (1, 0), (1, 1)))
 
 
 def test_sigma_from_tree_is_a_bijection_onto_the_face_extensions():
